@@ -76,16 +76,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # small amount of operator sugar; the module-level functions are the API
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -157,11 +147,6 @@ def backward(
     return out
 
 
-def zero_grad(params: Mapping[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 # -- forward ops ----------------------------------------------------------
 
 
@@ -198,39 +183,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.add_grad(gb)
 
     return Tensor._from_op(data, (a, b), bw)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"hadamard {a.shape} * {b.shape}")
-    data = a.data * b.data
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.add_grad(g * b.data)
-        if b.requires_grad:
-            b.add_grad(g * a.data)
-
-    return Tensor._from_op(data, (a, b), bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # 0.5 * (tanh(x/2) + 1) is the overflow-safe form
-    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-
-    def bw(g: np.ndarray) -> None:
-        x.add_grad(g * s * (1.0 - s))
-
-    return Tensor._from_op(s, (x,), bw)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def bw(g: np.ndarray) -> None:
-        x.add_grad(g * (1.0 - t * t))
-
-    return Tensor._from_op(t, (x,), bw)
 
 
 def relu(x: Tensor) -> Tensor:

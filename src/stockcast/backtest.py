@@ -10,20 +10,24 @@ backward.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergedLossError, InsufficientHistoryError, LengthMismatchError
+from .errors import (
+    DivergedLossError,
+    InsufficientHistoryError,
+    LengthMismatchError,
+    StockcastError,
+)
 from .market_data import (
     DateRange,
     PricePanel,
     daily_returns,
     fit_scaler,
-    invert_scale,
     make_windows,
     scale,
 )
@@ -49,11 +53,6 @@ class WindowPlan:
     def n_steps(self) -> int:
         return len(self.steps)
 
-    @property
-    def base_train(self) -> "DateRange":
-        """The first step's training interval."""
-        return DateRange(self.steps[0].train_start, self.steps[0].train_end)
-
 
 @dataclass(eq=False)
 class FailedStep:
@@ -70,8 +69,6 @@ class BacktestReport:
     per_stock: list[tuple[str, float]]
     summary_mse: float
     failed: list[FailedStep]
-    config_echo: dict = field(default_factory=dict)
-    per_day_currency: list[tuple[date, float]] | None = None  # set by currency_errors
 
 
 @dataclass(eq=False)
@@ -150,20 +147,17 @@ def run_backtest(
     graph_config: GraphConfig,
     plan: WindowPlan,
     base_seed: int = 0,
-    currency_errors: bool = False,
     warm_start: bool = False,
 ) -> BacktestReport:
     """Walk the plan: refit scaler and graph per step, retrain, score one day.
 
-    All reported errors are in scaled space; `currency_errors` additionally
-    records per-day MSE in price units via the inverse scaling. Each step
-    trains from a fresh seeded initialization unless `warm_start` carries the
-    previous step's parameters forward. A step whose training diverges is
-    recorded under `failed` and excluded from the summary mean.
+    All reported errors are in scaled space. Each step trains from a fresh
+    seeded initialization unless `warm_start` carries the previous step's
+    parameters forward. A step whose training diverges is recorded under
+    `failed` and excluded from the summary mean.
     """
     lookback = spec.train.lookback
     per_day: list[tuple[date, float]] = []
-    per_day_currency: list[tuple[date, float]] = []
     failed: list[FailedStep] = []
     sq_sums = np.zeros(panel.n_stocks)
     n_scored = 0
@@ -202,9 +196,6 @@ def run_backtest(
         sq_sums += sq
         n_scored += 1
         per_day.append((step.test_date, float(sq.mean())))
-        if currency_errors:
-            diff = invert_scale(scaler, prediction) - test_panel.close[0]
-            per_day_currency.append((step.test_date, float((diff * diff).mean())))
 
     summary = float(np.mean([m for _, m in per_day])) if per_day else math.nan
     per_stock = (
@@ -219,17 +210,6 @@ def run_backtest(
         per_stock=per_stock,
         summary_mse=summary,
         failed=failed,
-        per_day_currency=per_day_currency if currency_errors else None,
-        config_echo={
-            "kind": spec.kind,
-            "base_seed": base_seed,
-            "base_train_days": plan.base_train_days,
-            "test_count": len(plan.test_dates),
-            "excluded_steps": len(failed),
-            "warm_start": warm_start,
-            "graph": asdict(graph_config) if spec.kind == "hybrid" else None,
-            "train": asdict(spec.train),
-        },
     )
 
 
@@ -251,7 +231,7 @@ def grid_search(
             report = run_backtest(cell_spec, panel, graph_config, plan, base_seed)
             mean = report.summary_mse
             cell_failed = not math.isfinite(mean)
-        except Exception as exc:  # a broken cell must not kill the sweep
+        except StockcastError:  # a cell the data cannot support must not kill the sweep
             mean = None
             cell_failed = True
         else:

@@ -36,15 +36,9 @@ from .market_data import (
     moving_average,
     parse_ohlcv_csv,
 )
-from .relation_graph import (
-    apriori_frequent,
-    build_graph,
-    co_movement_transactions,
-    correlation_edges,
-    edge_records,
-    mine_rules,
-    pearson_matrix,
-)
+# apriori_frequent has no caller here; bench/test_bench.py reads cli.apriori_frequent
+# to check that its tracer restores a function bound by name in another module
+from .relation_graph import apriori_frequent, build_graph, edge_records  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,30 +66,27 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, extra=None) -> 
     (out_dir / "run_manifest.txt").write_text(text)
 
 
-def _load_series(cfg: RunConfig) -> list[RawSeries]:
+def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
+    """Parse each ticker file once; returns the raw series and their aligned
+    panel, restricted to the configured dates."""
     series = []
     for ticker in cfg.tickers:
         path = Path(cfg.data_dir) / f"{ticker}.csv"
         if not path.is_file():
             raise DataFileError(f"{ticker}: no data file at {path}")
         series.append(parse_ohlcv_csv(path.read_bytes(), ticker))
-    return series
-
-
-def _load_panel(cfg: RunConfig) -> PricePanel:
-    panel = align_panel(_load_series(cfg))
+    panel = align_panel(series)
     if cfg.start_date or cfg.end_date:
         start = date.fromisoformat(cfg.start_date) if cfg.start_date else panel.dates[0]
         end = date.fromisoformat(cfg.end_date) if cfg.end_date else panel.dates[-1]
         panel = panel.window(DateRange(start, end))
     if panel.n_days == 0:
         raise DataFileError("date range excludes every panel day")
-    return panel
+    return series, panel
 
 
 def cmd_ingest(cfg: RunConfig, out_dir: Path) -> None:
-    series = _load_series(cfg)
-    panel = _load_panel(cfg)
+    series, panel = _load_inputs(cfg)
 
     _write_csv(
         out_dir / "panel_summary.csv",
@@ -134,14 +125,8 @@ def _items_label(items) -> str:
 
 
 def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
-    panel = _load_panel(cfg)
-    returns = daily_returns(panel)
-    corr = pearson_matrix(returns)
-    corr_e = correlation_edges(corr, cfg.corr_threshold)
-    txdb = co_movement_transactions(returns, move_threshold=cfg.move_threshold)
-    frequents = apriori_frequent(txdb, cfg.min_support)
-    rules = mine_rules(frequents, cfg.min_confidence, cfg.min_lift, min_support=cfg.min_support)
-    graph = build_graph(returns, cfg.to_graph_config())
+    _, panel = _load_inputs(cfg)
+    graph = build_graph(daily_returns(panel), cfg.to_graph_config())
 
     _write_csv(
         out_dir / "graph_edges.csv",
@@ -159,14 +144,18 @@ def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
                 _fmt(r.confidence),
                 _fmt(r.lift),
             )
-            for r in rules.rules
+            for r in graph.rules.rules
         ],
     )
     _write_manifest(
         out_dir,
         cfg,
         "graph",
-        {"n_corr_edges": len(corr_e), "n_rules": len(rules.rules), "n_edges": len(graph.edges)},
+        {
+            "n_corr_edges": sum("corr" in e.sources for e in graph.edges.values()),
+            "n_rules": len(graph.rules.rules),
+            "n_edges": len(graph.edges),
+        },
     )
 
 
@@ -192,7 +181,7 @@ def _write_backtest_outputs(
 
 
 def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
-    panel = _load_panel(cfg)
+    _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     graph_config = cfg.to_graph_config()
     specs = [cfg.to_model_spec(kind) for kind in cfg.models]
@@ -222,7 +211,7 @@ def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_gridsearch(cfg: RunConfig, out_dir: Path) -> None:
-    panel = _load_panel(cfg)
+    _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     space = GridSpace(
         learning_rates=cfg.grid_learning_rates,

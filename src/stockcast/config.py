@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
-from .models import MODEL_KINDS, ModelSpec, TrainConfig
+from .models import ModelSpec, TrainConfig
 from .relation_graph import GraphConfig
 
 DEFAULT_TICKERS = [
@@ -122,7 +122,12 @@ def _check(condition: bool, name: str, message: str) -> None:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Total validation with a named-field diagnostic on the first failure."""
+    """Total validation with a named-field diagnostic on the first failure.
+
+    Model and training ranges are checked once, by building the ModelSpec of
+    every configured kind; only keys that exist in RunConfig alone are
+    checked here.
+    """
     _check(bool(cfg.tickers), "tickers", "must not be empty")
     _check(len(set(cfg.tickers)) == len(cfg.tickers), "tickers", "contains duplicates")
     for name in ("start_date", "end_date"):
@@ -139,22 +144,19 @@ def validate_config(cfg: RunConfig) -> None:
     _check(cfg.move_threshold >= 0.0, "move_threshold", "must be >= 0")
     _check(cfg.lift_cap > 0.0, "lift_cap", "must be > 0")
     _check(bool(cfg.models), "models", "must not be empty")
-    for kind in cfg.models:
-        _check(kind in MODEL_KINDS, "models", f"unknown model kind {kind!r}")
-    for name in ("hidden_size", "lstm_layers", "gcn_hidden", "gcn_out",
-                 "cnn_channels", "cnn_kernel", "lookback", "patience"):
-        _check(getattr(cfg, name) >= 1, name, "must be >= 1")
-    for name in ("fusion_hidden", "dense_hidden"):
-        widths = getattr(cfg, name)
-        _check(all(isinstance(w, int) and w >= 1 for w in widths), name,
-               "widths must be integers >= 1")
-    _check(cfg.learning_rate > 0.0, "learning_rate", "must be > 0")
+    _check(cfg.batch_size >= 0, "batch_size", "must be >= 0 (0 = full batch)")
     lo, hi = EPOCH_BOUNDS
     _check(lo <= cfg.epochs <= hi, "epochs", f"must be in [{lo}, {hi}]")
-    _check(cfg.batch_size >= 0, "batch_size", "must be >= 0 (0 = full batch)")
-    _check(0.0 <= cfg.dropout < 1.0, "dropout", "must be in [0, 1)")
-    _check(cfg.min_delta >= 0.0, "min_delta", "must be >= 0")
-    _check(0.0 <= cfg.val_fraction < 1.0, "val_fraction", "must be in [0, 1)")
+    for kind in cfg.models:
+        try:
+            cfg.to_model_spec(kind)
+        except ValueError as exc:
+            # the dataclasses open their messages with the field name, which is
+            # also the RunConfig key; only the model kind is named differently
+            key, _, rest = str(exc).partition(" ")
+            if key not in _FIELDS:
+                key, rest = "models", str(exc)
+            raise ConfigError(f"{key}: {rest}") from None
     _check(cfg.base_train_days >= 2, "base_train_days", "must be >= 2")
     _check(cfg.test_count >= 1, "test_count", "must be >= 1")
     _check(cfg.base_train_days > cfg.lookback + 1, "base_train_days",

@@ -71,6 +71,8 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.min_delta < 0.0:
+            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
@@ -97,8 +99,9 @@ class ModelSpec:
                      "cnn_channels", "cnn_kernel"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if any(w < 1 for w in self.fusion_hidden) or any(w < 1 for w in self.dense_hidden):
-            raise ValueError("hidden widths must be >= 1")
+        for name in ("fusion_hidden", "dense_hidden"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1")
 
 
 @dataclass
@@ -340,23 +343,6 @@ def _layer_triples(
     ]
 
 
-def lstm_forward(
-    sequence,
-    params: Mapping[str, Tensor],
-    layers: int = 1,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Final hidden vector (H,) of a stacked LSTM over one (L, d) sequence."""
-    seq = sequence if isinstance(sequence, Tensor) else Tensor(sequence)
-    if seq.ndim != 2:
-        raise ShapeMismatchError(f"expected (L, d) sequence, got {seq.shape}")
-    batched = reshape(seq, (1, seq.shape[0], seq.shape[1]))
-    h = lstm_stack(batched, _layer_triples(params, layers), dropout_rate, training, rng)
-    return reshape(h, (h.shape[1],))
-
-
 def gcn_forward(
     features,
     a_hat: NormAdj | np.ndarray,
@@ -442,33 +428,6 @@ def _cnn_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
     return reshape(out, (n_batch, n_stocks))
 
 
-def hybrid_forward(
-    window,
-    a_hat: NormAdj | np.ndarray,
-    spec: ModelSpec,
-    params: Mapping[str, Tensor],
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Predictions (N,) for one (L, N) window of scaled closes."""
-    x = window if isinstance(window, Tensor) else Tensor(window)
-    batched = reshape(x, (1, *x.shape))
-    out = _hybrid_batch(batched, a_hat, spec, params, training, rng)
-    return reshape(out, (x.shape[1],))
-
-
-def dense_forward(window, spec: ModelSpec, params) -> Tensor:
-    x = window if isinstance(window, Tensor) else Tensor(window)
-    out = _dense_batch(reshape(x, (1, *x.shape)), spec, params)
-    return reshape(out, (x.shape[1],))
-
-
-def cnn1d_forward(window, spec: ModelSpec, params) -> Tensor:
-    x = window if isinstance(window, Tensor) else Tensor(window)
-    out = _cnn_batch(reshape(x, (1, *x.shape)), spec, params)
-    return reshape(out, (x.shape[1],))
-
-
 def model_forward(
     windows: Tensor,
     spec: ModelSpec,
@@ -519,11 +478,6 @@ def linreg_fit(dataset: WindowDataset, stock: int, ridge: float = 1e-8) -> np.nd
         return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError(f"stock {stock}: system singular even with ridge") from None
-
-
-def linreg_predict(coef: np.ndarray, lags: np.ndarray) -> float:
-    """Prediction from one stock's (L,) lag vector."""
-    return float(lags @ coef[:-1] + coef[-1])
 
 
 def _fit_linreg_all(dataset: WindowDataset) -> np.ndarray:

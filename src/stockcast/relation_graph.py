@@ -14,7 +14,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyDatabaseError, UnknownTickerError, ZeroVarianceError
+from .errors import (
+    EmptyDatabaseError,
+    PanelTooShortError,
+    UnknownTickerError,
+    ZeroVarianceError,
+)
 from .market_data import DateRange, ReturnPanel
 
 UP = "UP"
@@ -66,6 +71,7 @@ class GraphEdge:
 class StockGraph:
     tickers: list[str]
     edges: dict[tuple[str, str], GraphEdge]  # keys are lexicographically ordered pairs
+    rules: RuleSet  # the mined rules behind the assoc edges
 
 
 @dataclass(eq=False)
@@ -97,7 +103,7 @@ def pearson_matrix(returns: ReturnPanel, date_range: DateRange | None = None) ->
         lo, hi = returns.range_indices(date_range)
         block = returns.returns[lo:hi]
     if block.shape[0] < 3:
-        raise ValueError(f"need >= 3 return days, got {block.shape[0]}")
+        raise PanelTooShortError(f"need >= 3 return days, got {block.shape[0]}")
 
     centered = block - block.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
@@ -277,7 +283,7 @@ def assemble_graph(
             for item_b in rule.consequent:
                 put(item_a[0], item_b[0], weight, "assoc")
 
-    return StockGraph(tickers=list(tickers), edges=edges)
+    return StockGraph(tickers=list(tickers), edges=edges, rules=rules)
 
 
 def normalized_adjacency(graph: StockGraph) -> NormAdj:

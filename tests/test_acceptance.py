@@ -28,9 +28,8 @@ from stockcast.models import (
     ModelSpec,
     TrainConfig,
     gcn_forward,
-    hybrid_forward,
     init_params,
-    lstm_forward,
+    lstm_stack,
     model_forward,
     train,
 )
@@ -100,10 +99,13 @@ class TestGradientCorrectness:
                 "lstm0.wh": Tensor(rng.normal(scale=0.5, size=(3, 12)), requires_grad=True),
                 "lstm0.b": Tensor(rng.normal(scale=0.3, size=12), requires_grad=True),
             }
-            seq = rng.normal(size=(1, 2))  # single step: one cell update
-            cell_target = rng.normal(size=3)
+            seq = rng.normal(size=(1, 1, 2))  # one sequence, single step: one cell update
+            cell_target = rng.normal(size=(1, 3))
             err = self._check(
-                lambda p: mse_loss(lstm_forward(seq, p, layers=1), Tensor(cell_target)),
+                lambda p: mse_loss(
+                    lstm_stack(Tensor(seq), [(p["lstm0.wx"], p["lstm0.wh"], p["lstm0.b"])]),
+                    Tensor(cell_target),
+                ),
                 cell_params,
             )
             worst["lstm_cell"] = max(worst.get("lstm_cell", 0.0), err)
@@ -136,10 +138,10 @@ class TestGradientCorrectness:
             spec_h = ModelSpec("hybrid", train=cfg, **small)
             params_h = init_params(spec_h, 3, 4, rng)
             adj = np.full((3, 3), 1.0 / 3)
-            hybrid_target = rng.uniform(0.1, 0.9, 3)
+            hybrid_target = rng.uniform(0.1, 0.9, (1, 3))
             err = self._check(
                 lambda p: mse_loss(
-                    hybrid_forward(window[0], adj, spec_h, p), Tensor(hybrid_target)
+                    model_forward(Tensor(window[:1]), spec_h, p, adj), Tensor(hybrid_target)
                 ),
                 params_h,
             )
@@ -400,10 +402,10 @@ class TestRealDataCheck:
         if not data_dir:
             pytest.skip("STOCKCAST_DATA_DIR not set; best-effort real-data check skipped")
         from stockcast.config import load_config
-        from stockcast.cli import _load_panel
+        from stockcast.cli import _load_inputs
 
         cfg = load_config(None, {"data_dir": data_dir})
-        panel = _load_panel(cfg)
+        _, panel = _load_inputs(cfg)
         plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
         graph_cfg = cfg.to_graph_config()
         seed_wins = 0

@@ -8,15 +8,13 @@ from stockcast.autodiff import (
     concat,
     dropout,
     gradient_check,
-    hadamard,
     matmul,
     mse_loss,
     narrow,
     relu,
     reshape,
-    sigmoid,
+    scale,
     swapaxes,
-    tanh,
     topo_order,
 )
 from stockcast.errors import (
@@ -33,9 +31,8 @@ def t(data, grad=False):
 
 class TestForwardOps:
     def test_activation_values(self):
-        assert sigmoid(t([0.0])).data[0] == 0.5
-        assert tanh(t([0.0])).data[0] == 0.0
         assert relu(t([-1.0])).data[0] == 0.0
+        assert relu(t([2.0])).data[0] == 2.0
 
     def test_matmul_shape_algebra(self):
         out = matmul(t(np.ones((2, 3))), t(np.ones((3, 4))))
@@ -52,10 +49,6 @@ class TestForwardOps:
     def test_concat_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             concat(t(np.zeros((5, 3))), t(np.zeros((4, 2))))
-
-    def test_hadamard_strict_shapes(self):
-        with pytest.raises(ShapeMismatchError):
-            hadamard(t(np.zeros((2, 2))), t(np.zeros((2, 3))))
 
     def test_add_broadcasts_bias(self):
         out = add(t(np.zeros((4, 3))), t(np.array([1.0, 2.0, 3.0])))
@@ -88,11 +81,6 @@ class TestMseLoss:
 
 
 class TestBackward:
-    def test_sigmoid_derivative_at_zero(self):
-        x = t([0.0], grad=True)
-        backward(sigmoid(x))
-        assert x.grad[0] == pytest.approx(0.25)
-
     def test_relu_subgradient(self):
         x = t([-1.0, 0.0, 2.0], grad=True)
         y = relu(x)
@@ -110,7 +98,7 @@ class TestBackward:
         target = rng.normal(size=(3, 3))
 
         def build(p):
-            return mse_loss(tanh(matmul(p["a"], sigmoid(matmul(p["a"], p["b"])))), t(target))
+            return mse_loss(matmul(p["a"], relu(matmul(p["a"], p["b"]))), t(target))
 
         assert gradient_check(build, params, max_coords=9) < 1e-4
 
@@ -122,7 +110,7 @@ class TestBackward:
     def test_detached_graph(self):
         x = t([1.0], grad=True)
         y = t([2.0], grad=True)
-        loss = mse_loss(sigmoid(x), t([0.0]))
+        loss = mse_loss(relu(x), t([0.0]))
         with pytest.raises(DetachedGraphError):
             backward(loss, {"y": y})
 
@@ -134,22 +122,21 @@ class TestBackward:
         assert grads["x"][0] != 0.0
 
     def test_multi_consumer_accumulation(self):
-        # y = x*x + x*x has dy/dx = 4x; exercises repeated add_grad on one leaf
-        x = t([3.0], grad=True)
-        y = add(hadamard(x, x), hadamard(x, x))
+        # y = 2x + 3x + x @ [[4]] has dy/dx = 9; exercises repeated add_grad on one leaf
+        x = t([[3.0]], grad=True)
+        y = add(add(scale(x, 2.0), scale(x, 3.0)), matmul(x, t([[4.0]])))
         backward(reshape(y, ()))
-        assert x.grad[0] == pytest.approx(12.0)
+        assert x.grad[0, 0] == 9.0
 
     def test_add_same_shape_parents_keep_distinct_grads(self):
         # a's second contribution must not leak into b through a shared buffer
         a = t([1.0, 2.0], grad=True)
         b = t([3.0, 4.0], grad=True)
-        c = t([5.0, 6.0], grad=True)
-        out = add(add(a, b), hadamard(a, c))
+        out = add(add(a, b), scale(a, 5.0))
         backward(mse_loss(out, t([0.0, 0.0])))
-        expected_b = 2.0 / 2 * (a.data + b.data + a.data * c.data)
+        expected_b = 2.0 / 2 * (a.data + b.data + 5.0 * a.data)
         assert np.allclose(b.grad, expected_b)
-        assert np.allclose(a.grad, expected_b * (1.0 + c.data))
+        assert np.allclose(a.grad, expected_b * 6.0)
 
     def test_structural_ops_roundtrip_gradients(self, rng):
         params = {"x": Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)}
@@ -165,8 +152,8 @@ class TestBackward:
 
     def test_topo_order_parents_first(self):
         x = t([1.0], grad=True)
-        y = sigmoid(x)
-        z = tanh(y)
+        y = relu(x)
+        z = scale(y, 2.0)
         order = topo_order(z)
         assert order.index(x) < order.index(y) < order.index(z)
 
@@ -176,7 +163,7 @@ class TestBackward:
         def run():
             x = Tensor(x_data.copy(), requires_grad=True)
             gen = np.random.Generator(np.random.PCG64(7))
-            y = dropout(sigmoid(x), 0.5, training=True, rng=gen)
+            y = dropout(relu(matmul(x, x)), 0.5, training=True, rng=gen)
             loss = mse_loss(y, t(np.zeros((4, 4))))
             backward(loss)
             return loss.item(), x.grad.copy()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stockcast import backtest
 from stockcast.backtest import (
     GridSpace,
     compare_models,
@@ -161,26 +162,6 @@ class TestRunBacktest:
         assert len(report.failed) == 5
         assert report.per_day == []
         assert math.isnan(report.summary_mse)
-        assert report.config_echo["excluded_steps"] == 5
-
-    def test_currency_errors_optional_report(self):
-        panel = arithmetic_panel()
-        plan = expanding_schedule(panel.dates, 20, 6)
-        report = run_backtest(
-            linreg_spec(), panel, GraphConfig(), plan, currency_errors=True
-        )
-        assert report.per_day_currency is not None
-        assert len(report.per_day_currency) == 6
-        # linear data fits exactly, so currency errors are ~0 as well
-        assert all(v < 1e-12 for _, v in report.per_day_currency)
-        plain = run_backtest(linreg_spec(), panel, GraphConfig(), plan)
-        assert plain.per_day_currency is None
-
-    def test_plan_exposes_base_train_interval(self):
-        panel = arithmetic_panel()
-        plan = expanding_schedule(panel.dates, 20, 6)
-        assert plan.base_train.start == plan.steps[0].train_start
-        assert plan.base_train.end == plan.steps[0].train_end
 
     def test_warm_start_changes_later_steps(self):
         panel = lead_lag_panel(44, seed=15)
@@ -194,7 +175,6 @@ class TestRunBacktest:
         # step 0 is identical (same fresh init), later steps diverge
         assert warm.per_day[0] == cold.per_day[0]
         assert warm.per_day[1:] != cold.per_day[1:]
-        assert warm.config_echo["warm_start"] is True
         again = run_backtest(spec, panel, GraphConfig(), plan, base_seed=1, warm_start=True)
         assert again.per_day == warm.per_day  # still deterministic
 
@@ -261,6 +241,28 @@ class TestGridSearch:
         assert [c.failed for c in cells] == [False, True]
         assert cells[1].mean_mse is None
         assert cells[1].rank == 2
+
+    def test_too_short_graph_range_is_a_failed_cell(self):
+        # a 3-day base window leaves 2 return days, too few for the correlations
+        panel = lead_lag_panel(20, seed=3)
+        plan = expanding_schedule(panel.dates, 3, 2)
+        base = TrainConfig(lookback=1, epochs=10, dropout=0.0)
+        space = GridSpace([0.01, 0.005], [1], [10], base=base)
+        template = ModelSpec("hybrid", hidden_size=2, lstm_layers=1, gcn_hidden=2, gcn_out=2,
+                             fusion_hidden=(2,), train=base)
+        cells = grid_search(space, template, panel, GraphConfig(), plan)
+        assert [(c.learning_rate, c.failed, c.mean_mse, c.rank) for c in cells] == [
+            (0.005, True, None, 1), (0.01, True, None, 2)]
+
+    def test_programming_error_in_a_cell_propagates(self, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise TypeError("broken cell")
+
+        monkeypatch.setattr(backtest, "train", broken_train)
+        panel, plan = self.make_inputs()
+        space = GridSpace([0.005], [3], [10], base=linreg_spec().train)
+        with pytest.raises(TypeError, match="broken cell"):
+            grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import csv
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from stockcast import market_data, relation_graph
 from stockcast.cli import main
 from stockcast.config import EPOCH_BOUNDS, RunConfig, load_config
 from stockcast.errors import ConfigError
@@ -34,6 +37,44 @@ def data_dir(tmp_path):
     directory = tmp_path / "data"
     write_panel_csvs(panel, directory)
     return directory
+
+
+def count_calls(monkeypatch, fn):
+    """Put a counting spy in place of `fn` in every loaded stockcast module
+    that binds it; returns the list of positional arguments of each call."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stockcast" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, spy)
+    return calls
+
+
+# one bad value for each key whose range check lives in TrainConfig or
+# ModelSpec, plus two keys RunConfig checks itself
+BAD_VALUES = [
+    ("hidden_size", "0"),
+    ("lstm_layers", "0"),
+    ("gcn_hidden", "0"),
+    ("gcn_out", "0"),
+    ("cnn_channels", "0"),
+    ("cnn_kernel", "0"),
+    ("lookback", "0"),
+    ("patience", "0"),
+    ("fusion_hidden", "0"),
+    ("dense_hidden", "4,0"),
+    ("learning_rate", "0"),
+    ("dropout", "1.0"),
+    ("val_fraction", "1.0"),
+    ("min_delta", "-0.001"),
+    ("models", "hybrid,svm"),
+    ("corr_threshold", "1.5"),
+    ("batch_size", "-1"),
+]
 
 
 def base_args(data_dir, out_dir, tickers="S00,S01,S02"):
@@ -67,15 +108,14 @@ class TestConfig:
         assert cfg.seed == 5
 
     def test_named_field_diagnostics(self):
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_config(None, {"learning_rate": "0"})
-        with pytest.raises(ConfigError, match="corr_threshold"):
-            load_config(None, {"corr_threshold": "1.5"})
         lo, hi = EPOCH_BOUNDS
-        with pytest.raises(ConfigError, match="epochs"):
-            load_config(None, {"epochs": str(hi + 1)})
-        with pytest.raises(ConfigError, match="epochs"):
-            load_config(None, {"epochs": str(lo - 1)})
+        for key, value in [*BAD_VALUES, ("epochs", str(hi + 1)), ("epochs", str(lo - 1))]:
+            with pytest.raises(ConfigError) as info:
+                load_config(None, {key: value})
+            assert str(info.value).startswith(f"{key}: "), (key, value, str(info.value))
+        # the configured bound is reported even where TrainConfig's own check would fail
+        with pytest.raises(ConfigError, match=re.escape(f"epochs: must be in [{lo}, {hi}]")):
+            load_config(None, {"epochs": "0"})
 
     def test_list_coercion(self):
         cfg = load_config(None, {"grid_learning_rates": "0.1,0.2", "fusion_hidden": "8,4"})
@@ -121,8 +161,18 @@ class TestIngest:
         assert "MISSING" in capsys.readouterr().err
         assert not (out / "panel_summary.csv").exists()
 
+    def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        assert main(["ingest", *base_args(data_dir, tmp_path / "out")]) == 0
+        assert sorted(ticker for _, ticker in calls) == ["S00", "S01", "S02"]
+
 
 class TestGraph:
+    def test_rules_mined_once(self, data_dir, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, relation_graph.apriori_frequent)
+        assert main(["graph", *base_args(data_dir, tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_extreme_threshold_yields_no_corr_edges(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = main(

@@ -11,12 +11,9 @@ from stockcast.models import (
     ModelSpec,
     TrainConfig,
     gcn_forward,
-    hybrid_forward,
     init_params,
     linreg_fit,
-    linreg_predict,
     load_model,
-    lstm_forward,
     lstm_stack,
     model_forward,
     predict,
@@ -56,12 +53,24 @@ def zero_params_like(params):
     return {name: Tensor(np.zeros_like(p.data), requires_grad=True) for name, p in params.items()}
 
 
+def lstm_last_hidden(seq, params, layers, **kwargs):
+    """lstm_stack over a batch of one (L, d) sequence: final hidden state (1, H)."""
+    triples = [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
+               for k in range(layers)]
+    return lstm_stack(Tensor(seq[None]), triples, **kwargs)
+
+
+def forward_one(spec, params, window, a_hat=None):
+    """model_forward on a batch of one (L, N) window: predictions (1, N)."""
+    return model_forward(Tensor(window[None]), spec, params, a_hat)
+
+
 class TestLstm:
     def test_zero_weights_give_zero_hidden(self, rng):
         spec = tiny_spec("lstm")
         params = zero_params_like(init_params(spec, 1, 4, rng))
-        h = lstm_forward(rng.uniform(0, 1, (6, 1)), params, layers=2)
-        assert np.array_equal(h.data, np.zeros(4))
+        h = lstm_last_hidden(rng.uniform(0, 1, (6, 1)), params, layers=2)
+        assert np.array_equal(h.data, np.zeros((1, 4)))
 
     def test_hidden_state_strictly_inside_unit_box(self, rng):
         spec = tiny_spec("lstm")
@@ -70,7 +79,7 @@ class TestLstm:
                 name: Tensor(rng.normal(scale=3.0, size=p.shape), requires_grad=True)
                 for name, p in init_params(spec, 1, 4, rng).items()
             }
-            h = lstm_forward(rng.normal(size=(7, 1)), params, layers=2)
+            h = lstm_last_hidden(rng.normal(size=(7, 1)), params, layers=2)
             assert np.all(np.abs(h.data) < 1.0)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -81,10 +90,10 @@ class TestLstm:
             "lstm0.b": Tensor(rng.normal(scale=0.2, size=16), requires_grad=True),
         }
         seq = rng.normal(size=(3, 2))
-        target = rng.normal(size=4)
+        target = rng.normal(size=(1, 4))
 
         def build(p):
-            return mse_loss(lstm_forward(seq, p, layers=1), Tensor(target))
+            return mse_loss(lstm_last_hidden(seq, p, layers=1), Tensor(target))
 
         assert gradient_check(build, params, max_coords=12) < 1e-4
 
@@ -96,9 +105,9 @@ class TestLstm:
             "lstm0.b": Tensor(rng.normal(scale=0.3, size=8), requires_grad=True),
         }
         seq = rng.normal(size=(1, 3))
-        target = rng.normal(size=2)
+        target = rng.normal(size=(1, 2))
         err = gradient_check(
-            lambda p: mse_loss(lstm_forward(seq, p, layers=1), Tensor(target)),
+            lambda p: mse_loss(lstm_last_hidden(seq, p, layers=1), Tensor(target)),
             params,
             max_coords=12,
         )
@@ -114,8 +123,8 @@ class TestLstm:
         spec = tiny_spec("lstm")
         params = init_params(spec, 1, 4, rng)
         seq = rng.uniform(0, 1, (6, 1))
-        eval_out = lstm_forward(seq, params, layers=2, dropout_rate=0.5, training=False)
-        train_out = lstm_forward(
+        eval_out = lstm_last_hidden(seq, params, layers=2, dropout_rate=0.5, training=False)
+        train_out = lstm_last_hidden(
             seq, params, layers=2, dropout_rate=0.5, training=True,
             rng=np.random.Generator(np.random.PCG64(0)),
         )
@@ -175,18 +184,18 @@ class TestHybrid:
         spec = tiny_spec("hybrid")
         params = init_params(spec, n, 4, rng)
         window = rng.uniform(0.1, 0.9, (4, n))
-        out = hybrid_forward(window, edgeless_adjacency(n), spec, params)
-        assert out.shape == (n,)
+        out = forward_one(spec, params, window, edgeless_adjacency(n))
+        assert out.shape == (1, n)
 
     def test_edgeless_graph_isolation_analytic(self, rng):
         n = 4
         spec = tiny_spec("hybrid")
         params = init_params(spec, n, 4, rng)
-        window = Tensor(rng.uniform(0.1, 0.9, (4, n)), requires_grad=True)
-        out = hybrid_forward(window, edgeless_adjacency(n), spec, params)
+        window = Tensor(rng.uniform(0.1, 0.9, (1, 4, n)), requires_grad=True)
+        out = model_forward(window, spec, params, edgeless_adjacency(n))
         target_stock = 1
-        backward(reshape(narrow(out, 0, target_stock, 1), ()))
-        grads = window.grad  # (L, N)
+        backward(reshape(narrow(out, 1, target_stock, 1), ()))
+        grads = window.grad[0]  # (L, N)
         others = [j for j in range(n) if j != target_stock]
         assert np.all(grads[:, others] == 0.0)
         assert np.any(grads[:, target_stock] != 0.0)
@@ -196,10 +205,10 @@ class TestHybrid:
         spec = tiny_spec("hybrid")
         params = init_params(spec, n, 4, rng)
         window = rng.uniform(0.1, 0.9, (4, n))
-        base = hybrid_forward(window, edgeless_adjacency(n), spec, params).data
+        base = forward_one(spec, params, window, edgeless_adjacency(n)).data[0]
         bumped = window.copy()
         bumped[:, 2] += 0.1
-        out = hybrid_forward(bumped, edgeless_adjacency(n), spec, params).data
+        out = forward_one(spec, params, bumped, edgeless_adjacency(n)).data[0]
         assert out[0] == base[0] and out[1] == base[1]
         assert out[2] != base[2]
 
@@ -209,10 +218,10 @@ class TestHybrid:
         params = init_params(spec, n, 4, rng)
         a_hat = np.full((n, n), 1.0 / n)
         window = rng.uniform(0.1, 0.9, (4, n))
-        base = hybrid_forward(window, a_hat, spec, params).data
+        base = forward_one(spec, params, window, a_hat).data[0]
         bumped = window.copy()
         bumped[:, 2] += 0.1
-        out = hybrid_forward(bumped, a_hat, spec, params).data
+        out = forward_one(spec, params, bumped, a_hat).data[0]
         assert not np.array_equal(out[0], base[0])
 
     def test_deterministic_forward(self, rng):
@@ -220,8 +229,8 @@ class TestHybrid:
         spec = tiny_spec("hybrid")
         params = init_params(spec, n, 4, rng)
         window = rng.uniform(0.1, 0.9, (4, n))
-        a = hybrid_forward(window, edgeless_adjacency(n), spec, params).data
-        b = hybrid_forward(window, edgeless_adjacency(n), spec, params).data
+        a = forward_one(spec, params, window, edgeless_adjacency(n)).data
+        b = forward_one(spec, params, window, edgeless_adjacency(n)).data
         assert np.array_equal(a, b)
 
     def test_permutation_equivariance(self, rng):
@@ -232,12 +241,12 @@ class TestHybrid:
         a_hat[0, 1] = a_hat[1, 0] = 0.4
         a_hat[2, 3] = a_hat[3, 2] = 0.3
         window = rng.uniform(0.1, 0.9, (4, n))
-        base = hybrid_forward(window, a_hat, spec, params).data
+        base = forward_one(spec, params, window, a_hat).data[0]
 
         perm = np.array([3, 0, 4, 1, 2])
         permuted_window = window[:, perm]
         permuted_a_hat = a_hat[np.ix_(perm, perm)]
-        out = hybrid_forward(permuted_window, permuted_a_hat, spec, params).data
+        out = forward_one(spec, params, permuted_window, permuted_a_hat).data[0]
         assert np.max(np.abs(out - base[perm])) < 1e-12
 
     def test_gradients_match_finite_differences(self, rng):
@@ -246,10 +255,10 @@ class TestHybrid:
         params = init_params(spec, n, 4, rng)
         a_hat = np.full((n, n), 1.0 / n)
         window = rng.uniform(0.1, 0.9, (4, n))
-        target = rng.uniform(0.1, 0.9, n)
+        target = rng.uniform(0.1, 0.9, (1, n))
 
         def build(p):
-            return mse_loss(hybrid_forward(window, a_hat, spec, p), Tensor(target))
+            return mse_loss(forward_one(spec, p, window, a_hat), Tensor(target))
 
         assert gradient_check(build, params, max_coords=8) < 1e-4
 
@@ -306,7 +315,9 @@ class TestLinreg:
         coef = linreg_fit(dataset, 0)
         assert abs(coef[0] - 2.0) < 1e-9
         assert abs(coef[1] - 1.0) < 1e-9
-        assert linreg_predict(coef, np.array([0.25])) == pytest.approx(1.5, abs=1e-9)
+        pred = model_forward(Tensor(np.full((1, 1, 1), 0.25)), ModelSpec("linreg"),
+                             {"ols.coef": Tensor(coef[None])})
+        assert pred.data[0, 0] == pytest.approx(1.5, abs=1e-9)
 
     def test_constant_targets_give_intercept_only(self):
         rng = np.random.default_rng(6)

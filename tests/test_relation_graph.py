@@ -4,7 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from stockcast.errors import EmptyDatabaseError, UnknownTickerError, ZeroVarianceError
+from stockcast.errors import (
+    EmptyDatabaseError,
+    PanelTooShortError,
+    UnknownTickerError,
+    ZeroVarianceError,
+)
 from stockcast.market_data import ReturnPanel, daily_returns
 from stockcast.relation_graph import (
     DOWN,
@@ -93,7 +98,7 @@ class TestPearson:
             pearson_matrix(returns_panel(block))
 
     def test_needs_three_days(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PanelTooShortError):
             pearson_matrix(returns_panel(np.array([[0.01, 0.0], [0.0, 0.01]])))
 
 
@@ -276,6 +281,7 @@ class TestAssembleGraph:
         edge = graph.edges[("A", "B")]
         assert edge.weight == pytest.approx(0.8)
         assert edge.sources == frozenset({"corr", "assoc"})
+        assert graph.rules is ruleset  # the rules behind the assoc edges stay with the graph
 
     def test_no_edges_gives_isolated_vertices(self):
         graph = assemble_graph({}, rules_of(), ["A", "B", "C"])
