@@ -18,10 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateSeriesError,
     DivergedLossError,
     InsufficientHistoryError,
     LengthMismatchError,
+    ModelError,
+    PanelTooShortError,
+    SliceTooShortError,
     StockcastError,
+    ZeroVarianceError,
 )
 from .market_data import (
     DateRange,
@@ -54,11 +59,21 @@ class WindowPlan:
         return len(self.steps)
 
 
+# What one step's own data or training can raise. Any other error (a shape
+# or ticker mismatch, say) is a fault of the program and ends the walk.
+STEP_ERRORS = (PanelTooShortError, DegenerateSeriesError, SliceTooShortError,
+               ZeroVarianceError, ModelError)
+
+
 @dataclass(eq=False)
 class FailedStep:
     index: int
     test_date: date
-    reason: str
+    error: StockcastError
+
+    @property
+    def reason(self) -> str:
+        return str(self.error)
 
 
 @dataclass(eq=False)
@@ -153,8 +168,10 @@ def run_backtest(
 
     All reported errors are in scaled space. Each step trains from a fresh
     seeded initialization unless `warm_start` carries the previous step's
-    parameters forward. A step whose training diverges is recorded under
-    `failed` and excluded from the summary mean.
+    parameters forward. A step whose data or training fails with one of
+    STEP_ERRORS (too few days, a diverged loss, ...) is recorded with its
+    error under `failed`, excluded from the summary mean, and the walk goes
+    on; any other exception propagates.
     """
     lookback = spec.train.lookback
     per_day: list[tuple[date, float]] = []
@@ -164,33 +181,33 @@ def run_backtest(
     carried = None
 
     for step in plan.steps:
-        train_range = DateRange(step.train_start, step.train_end)
-        train_panel = panel.window(train_range)
-        scaler = fit_scaler(train_panel, train_range)
-        scaled_train = scale(scaler, train_panel)
-
-        a_hat = None
-        if spec.kind == "hybrid":
-            returns = daily_returns(train_panel)
-            graph = build_graph(returns, graph_config)
-            a_hat = normalized_adjacency(graph)
-
-        windows = make_windows(scaled_train, train_panel.dates, lookback)
         try:
+            train_range = DateRange(step.train_start, step.train_end)
+            train_panel = panel.window(train_range)
+            scaler = fit_scaler(train_panel, train_range)
+            scaled_train = scale(scaler, train_panel)
+
+            a_hat = None
+            if spec.kind == "hybrid":
+                returns = daily_returns(train_panel)
+                graph = build_graph(returns, graph_config)
+                a_hat = normalized_adjacency(graph)
+
+            windows = make_windows(scaled_train, train_panel.dates, lookback)
             result = train(
                 spec, windows, a_hat,
                 seed=step_seed(base_seed, step.index),
                 initial_params=carried,
             )
-        except DivergedLossError as exc:
-            failed.append(FailedStep(step.index, step.test_date, str(exc)))
+            test_panel = panel.window(DateRange(step.test_date, step.test_date))
+            actual = scale(scaler, test_panel)[0]
+            prediction = predict(spec, result.params, scaled_train[-lookback:], a_hat)
+        except STEP_ERRORS as exc:
+            # drop the traceback so a failed step does not keep its frames alive
+            failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
             continue
         if warm_start:
             carried = result.params
-
-        test_panel = panel.window(DateRange(step.test_date, step.test_date))
-        actual = scale(scaler, test_panel)[0]
-        prediction = predict(spec, result.params, scaled_train[-lookback:], a_hat)
 
         sq = (prediction - actual) ** 2
         sq_sums += sq
@@ -222,20 +239,25 @@ def grid_search(
     base_seed: int = 0,
 ) -> list[GridCell]:
     """Backtest every (learning rate, lookback, epochs) cell and rank by mean
-    MSE ascending; ties and failed cells order by the axis values."""
+    MSE ascending; ties and failed cells order by the axis values.
+
+    A cell fails when its backtest raises, when any step failed for a reason
+    other than a diverged loss, or when no step was scored, so no cell ranks
+    on the fewer test days its data could support.
+    """
     cells: list[GridCell] = []
     for lr, lookback, epochs in product(space.learning_rates, space.lookbacks, space.epoch_caps):
         cfg = replace(space.base, learning_rate=lr, lookback=lookback, epochs=epochs)
         cell_spec = replace(template, train=cfg)
         try:
             report = run_backtest(cell_spec, panel, graph_config, plan, base_seed)
-            mean = report.summary_mse
-            cell_failed = not math.isfinite(mean)
-        except StockcastError:  # a cell the data cannot support must not kill the sweep
-            mean = None
+        except StockcastError:  # a cell the config cannot support must not kill the sweep
             cell_failed = True
         else:
-            mean = None if cell_failed else mean
+            cell_failed = not math.isfinite(report.summary_mse) or any(
+                not isinstance(f.error, DivergedLossError) for f in report.failed
+            )
+        mean = None if cell_failed else report.summary_mse
         cells.append(GridCell(lr, lookback, epochs, mean, cell_failed))
 
     cells.sort(

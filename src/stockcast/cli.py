@@ -196,6 +196,9 @@ def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
         pairs = compare_models(specs, panel, graph_config, plan, cfg.seed,
                                warm_start=cfg.warm_start)
         results = [(spec.kind, report) for spec, report in pairs]
+    for _, report in results:
+        if not report.per_day:  # no step scored: fail with the first step's error
+            raise report.failed[0].error
 
     _write_backtest_outputs(out_dir, results)
     _write_manifest(

@@ -100,11 +100,6 @@ class ReturnPanel:
     dates: list[date]  # first date of the parent panel dropped
     returns: np.ndarray  # (T-1, N) float64
 
-    def range_indices(self, rng: DateRange) -> tuple[int, int]:
-        lo = bisect_left(self.dates, rng.start)
-        hi = bisect_right(self.dates, rng.end)
-        return lo, hi
-
 
 @dataclass(eq=False)
 class Scaler:

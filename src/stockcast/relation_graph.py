@@ -20,7 +20,7 @@ from .errors import (
     UnknownTickerError,
     ZeroVarianceError,
 )
-from .market_data import DateRange, ReturnPanel
+from .market_data import ReturnPanel
 
 UP = "UP"
 DOWN = "DOWN"
@@ -38,10 +38,9 @@ class CorrMatrix:
 @dataclass(eq=False)
 class TransactionDB:
     """One item set per trading day; a ticker contributes (ticker, UP) when its
-    return exceeds move_threshold, (ticker, DOWN) below -move_threshold, else nothing."""
+    return exceeds the move threshold, (ticker, DOWN) below its negative, else nothing."""
 
     transactions: list[frozenset[Item]]
-    move_threshold: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,9 +55,6 @@ class Rule:
 @dataclass(eq=False)
 class RuleSet:
     rules: list[Rule]
-    min_support: float
-    min_confidence: float
-    min_lift: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,16 +88,12 @@ class GraphConfig:
     lift_cap: float = 3.0
 
 
-def pearson_matrix(returns: ReturnPanel, date_range: DateRange | None = None) -> CorrMatrix:
-    """Pairwise correlation of daily returns over the given range.
+def pearson_matrix(returns: ReturnPanel) -> CorrMatrix:
+    """Pairwise correlation of daily returns.
 
     rho[i, j] = sum((r_i - mean_i)(r_j - mean_j)) / (||r_i - mean_i|| ||r_j - mean_j||).
     """
-    if date_range is None:
-        block = returns.returns
-    else:
-        lo, hi = returns.range_indices(date_range)
-        block = returns.returns[lo:hi]
+    block = returns.returns
     if block.shape[0] < 3:
         raise PanelTooShortError(f"need >= 3 return days, got {block.shape[0]}")
 
@@ -132,30 +124,21 @@ def correlation_edges(corr: CorrMatrix, tau: float = 0.7) -> dict[tuple[str, str
     return edges
 
 
-def co_movement_transactions(
-    returns: ReturnPanel,
-    date_range: DateRange | None = None,
-    move_threshold: float = 0.001,
-) -> TransactionDB:
+def co_movement_transactions(returns: ReturnPanel, move_threshold: float = 0.001) -> TransactionDB:
     """One transaction per day: signed direction items for tickers that moved
     more than move_threshold in magnitude."""
     if move_threshold < 0:
         raise ValueError(f"move_threshold must be >= 0, got {move_threshold}")
-    if date_range is None:
-        lo, hi = 0, returns.returns.shape[0]
-    else:
-        lo, hi = returns.range_indices(date_range)
     transactions: list[frozenset[Item]] = []
-    for t in range(lo, hi):
+    for day in returns.returns:
         items: set[Item] = set()
-        for j, ticker in enumerate(returns.tickers):
-            r = returns.returns[t, j]
+        for ticker, r in zip(returns.tickers, day):
             if r > move_threshold:
                 items.add((ticker, UP))
             elif r < -move_threshold:
                 items.add((ticker, DOWN))
         transactions.append(frozenset(items))
-    return TransactionDB(transactions=transactions, move_threshold=move_threshold)
+    return TransactionDB(transactions=transactions)
 
 
 def apriori_frequent(
@@ -165,7 +148,8 @@ def apriori_frequent(
 
     Candidates of size k+1 are joined from frequent k-itemsets and pruned
     unless every k-subset is itself frequent, so no support is ever counted
-    for a set that anti-monotonicity already rules out.
+    for a set that anti-monotonicity already rules out. A candidate's support
+    is counted on the AND of its two parents' tidsets (Eclat-style).
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
@@ -173,34 +157,35 @@ def apriori_frequent(
     if not transactions:
         raise EmptyDatabaseError("no transactions to mine")
     n = len(transactions)
+    frequent: dict[frozenset[Item], float] = {}
 
-    def count(candidates: Iterable[frozenset[Item]]) -> dict[frozenset[Item], float]:
-        kept: dict[frozenset[Item], float] = {}
-        for cand in candidates:
-            hits = sum(1 for tx in transactions if cand <= tx)
-            support = hits / n
+    def keep(
+        candidates: Iterable[tuple[tuple[Item, ...], np.ndarray]],
+    ) -> dict[tuple[Item, ...], np.ndarray]:
+        kept: dict[tuple[Item, ...], np.ndarray] = {}
+        for key, tids in candidates:
+            support = np.count_nonzero(tids) / n
             if support >= min_support:
-                kept[cand] = support
+                kept[key] = tids
+                frequent[frozenset(key)] = support
         return kept
 
+    # an itemset's tidset marks the transactions that contain it; keys are
+    # sorted item tuples, generated in sorted order at every level
     items = sorted({item for tx in transactions for item in tx})
-    level = count(frozenset([item]) for item in items)
-    frequent = dict(level)
-
+    level = keep(
+        ((item,), np.fromiter((item in tx for tx in transactions), bool, n)) for item in items
+    )
     while level:
-        prev = sorted(level, key=lambda s: tuple(sorted(s)))
-        as_tuples = [tuple(sorted(s)) for s in prev]
-        candidates: list[frozenset[Item]] = []
-        for a in range(len(as_tuples)):
-            for b in range(a + 1, len(as_tuples)):
-                # classic join: equal prefix, differing last element
-                if as_tuples[a][:-1] != as_tuples[b][:-1]:
-                    continue
-                joined = frozenset(as_tuples[a]) | frozenset({as_tuples[b][-1]})
-                if all(joined - {item} in level for item in joined):
-                    candidates.append(joined)
-        level = count(candidates)
-        frequent.update(level)
+        prev, keys = level, list(level)
+        level = keep(
+            (a + b[-1:], prev[a] & prev[b])
+            for i, a in enumerate(keys)
+            for b in keys[i + 1:]
+            # classic join: equal prefix, differing last element
+            if a[:-1] == b[:-1]
+            and all(sub in prev for sub in combinations(a + b[-1:], len(a)))
+        )
     return frequent
 
 
@@ -208,7 +193,6 @@ def mine_rules(
     frequents: Mapping[frozenset[Item], float],
     min_confidence: float = 0.60,
     min_lift: float = 1.7,
-    min_support: float = 0.0,
 ) -> RuleSet:
     """Split every frequent itemset into antecedent -> consequent rules.
 
@@ -235,12 +219,7 @@ def mine_rules(
         key=lambda r: (-r.lift, -r.confidence, -r.support,
                        tuple(sorted(r.antecedent)), tuple(sorted(r.consequent)))
     )
-    return RuleSet(
-        rules=rules,
-        min_support=min_support,
-        min_confidence=min_confidence,
-        min_lift=min_lift,
-    )
+    return RuleSet(rules=rules)
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -300,19 +279,13 @@ def normalized_adjacency(graph: StockGraph) -> NormAdj:
     return NormAdj(tickers=list(graph.tickers), a_hat=a_hat)
 
 
-def build_graph(
-    returns: ReturnPanel,
-    config: GraphConfig = GraphConfig(),
-    date_range: DateRange | None = None,
-) -> StockGraph:
-    """Full pipeline: correlations + mined rules over one date range."""
-    corr = pearson_matrix(returns, date_range)
+def build_graph(returns: ReturnPanel, config: GraphConfig = GraphConfig()) -> StockGraph:
+    """Full pipeline: correlations + mined rules over the whole return panel."""
+    corr = pearson_matrix(returns)
     corr_e = correlation_edges(corr, config.corr_threshold)
-    txdb = co_movement_transactions(returns, date_range, config.move_threshold)
+    txdb = co_movement_transactions(returns, config.move_threshold)
     frequents = apriori_frequent(txdb, config.min_support)
-    rules = mine_rules(
-        frequents, config.min_confidence, config.min_lift, min_support=config.min_support
-    )
+    rules = mine_rules(frequents, config.min_confidence, config.min_lift)
     return assemble_graph(corr_e, rules, returns.tickers, config.lift_cap)
 
 

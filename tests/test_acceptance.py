@@ -14,7 +14,8 @@ import pytest
 
 from stockcast.autodiff import Tensor, gradient_check, mse_loss
 from stockcast.backtest import compare_models, expanding_schedule, run_backtest
-from stockcast.cli import main
+from stockcast.cli import _load_inputs, main
+from stockcast.config import load_config
 from stockcast.market_data import (
     DateRange,
     daily_returns,
@@ -401,9 +402,6 @@ class TestRealDataCheck:
         data_dir = os.environ.get("STOCKCAST_DATA_DIR")
         if not data_dir:
             pytest.skip("STOCKCAST_DATA_DIR not set; best-effort real-data check skipped")
-        from stockcast.config import load_config
-        from stockcast.cli import _load_inputs
-
         cfg = load_config(None, {"data_dir": data_dir})
         _, panel = _load_inputs(cfg)
         plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)

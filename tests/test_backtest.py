@@ -13,7 +13,7 @@ from stockcast.backtest import (
     run_backtest,
     step_seed,
 )
-from stockcast.errors import InsufficientHistoryError, LengthMismatchError
+from stockcast.errors import InsufficientHistoryError, LengthMismatchError, ShapeMismatchError
 from stockcast.market_data import DateRange, fit_scaler
 from stockcast.models import ModelSpec, TrainConfig
 from stockcast.relation_graph import GraphConfig
@@ -163,6 +163,30 @@ class TestRunBacktest:
         assert report.per_day == []
         assert math.isnan(report.summary_mse)
 
+    def test_too_short_step_is_contained(self):
+        # step 0's 3-day window leaves 2 return days, too few for the graph;
+        # step 1 gains a day and is scored
+        panel = lead_lag_panel(20, seed=3)
+        plan = expanding_schedule(panel.dates, 3, 2)
+        spec = ModelSpec("hybrid", hidden_size=2, lstm_layers=1, gcn_hidden=2, gcn_out=2,
+                         fusion_hidden=(2,),
+                         train=TrainConfig(lookback=1, epochs=10, dropout=0.0))
+        report = run_backtest(spec, panel, GraphConfig(), plan)
+        assert [(f.index, f.test_date) for f in report.failed] == [(0, plan.test_dates[0])]
+        assert "return days" in report.failed[0].reason
+        assert [d for d, _ in report.per_day] == [plan.test_dates[1]]
+        assert report.summary_mse == report.per_day[0][1]
+
+    def test_program_fault_in_a_step_propagates(self, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise ShapeMismatchError("broken step")
+
+        monkeypatch.setattr(backtest, "train", broken_train)
+        panel = random_walk_panel(3, 40, seed=9)
+        plan = expanding_schedule(panel.dates, 30, 2)
+        with pytest.raises(ShapeMismatchError, match="broken step"):
+            run_backtest(linreg_spec(), panel, GraphConfig(), plan)
+
     def test_warm_start_changes_later_steps(self):
         panel = lead_lag_panel(44, seed=15)
         plan = expanding_schedule(panel.dates, 30, 3)
@@ -253,6 +277,14 @@ class TestGridSearch:
         cells = grid_search(space, template, panel, GraphConfig(), plan)
         assert [(c.learning_rate, c.failed, c.mean_mse, c.rank) for c in cells] == [
             (0.005, True, None, 1), (0.01, True, None, 2)]
+
+    def test_lookback_shorter_than_kernel_is_a_failed_cell(self):
+        panel, plan = self.make_inputs()
+        base = TrainConfig(lookback=3, epochs=10, dropout=0.0)
+        space = GridSpace([0.01], [2, 3], [10], base=base)
+        template = ModelSpec("cnn1d", cnn_channels=2, cnn_kernel=3, dense_hidden=(2,), train=base)
+        cells = grid_search(space, template, panel, GraphConfig(), plan)
+        assert [(c.lookback, c.failed, c.rank) for c in cells] == [(3, False, 1), (2, True, 2)]
 
     def test_programming_error_in_a_cell_propagates(self, monkeypatch):
         def broken_train(*args, **kwargs):

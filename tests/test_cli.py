@@ -4,6 +4,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stockcast import market_data, relation_graph
@@ -263,6 +264,38 @@ class TestBacktest:
         per_stock = read_csv(out / "per_stock_mse.csv")
         assert len(per_stock) == 1 + 3 * 2
 
+    def short_hybrid_args(self, tmp_path, test_count):
+        # step 0's 3-day window leaves 2 return days, too few for the graph
+        panel = lead_lag_panel(20, seed=3)
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        return ["backtest", *base_args(data, tmp_path / "out", tickers=",".join(panel.tickers)),
+                "--set", "models=hybrid", "--set", "base_train_days=3",
+                "--set", "lookback=1", "--set", f"test_count={test_count}"]
+
+    def test_failed_step_is_excluded_and_run_goes_on(self, tmp_path):
+        assert main(self.short_hybrid_args(tmp_path, 2)) == 0
+        out = tmp_path / "out"
+        manifest = (out / "run_manifest.txt").read_text().splitlines()
+        assert 'excluded_steps={"hybrid": 1}' in manifest
+        assert len(read_csv(out / "per_day_mse.csv")) == 1 + 1
+
+    def test_no_step_scored_is_a_data_error(self, tmp_path, capsys):
+        assert main(self.short_hybrid_args(tmp_path, 1)) == 3
+        assert "data error: need >= 3 return days, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "per_day_mse.csv").exists()
+
+    def test_every_step_diverged_is_a_training_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [a if a != "models=linreg" else "models=dense" for a in
+                backtest_args(data_dir, out)]
+        args += ["--set", "dense_hidden=4", "--set", "learning_rate=1e200"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(args)
+        assert code == 4
+        assert "training error:" in capsys.readouterr().err
+        assert not (out / "per_day_mse.csv").exists()
+
 
 class TestGridsearch:
     def test_ranked_output(self, data_dir, tmp_path):
@@ -283,6 +316,22 @@ class TestGridsearch:
         assert rows[1][4] == "1"
         values = [float(r[3]) for r in rows[1:] if r[3] != ""]
         assert values == sorted(values)
+
+    def test_cell_with_a_too_short_step_fails(self, tmp_path):
+        # lookback 11 needs 12 training days, so the first steps of every cell
+        # fail; a cell must not rank on the later days alone
+        panel = lead_lag_panel(60, seed=3)
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        out = tmp_path / "out"
+        code = main(["gridsearch", *base_args(data, out, tickers=",".join(panel.tickers)),
+                     "--set", "models=linreg", "--set", "base_train_days=3",
+                     "--set", "lookback=1"])
+        assert code == 0
+        rows = read_csv(out / "grid_results.csv")
+        assert len(rows) == 1 + 30
+        assert {(r[3], r[5]) for r in rows[1:]} == {("", "failed")}
+        assert "best=null" in (out / "run_manifest.txt").read_text().splitlines()
 
     def test_unknown_set_key(self, data_dir, tmp_path, capsys):
         code = main(["gridsearch", *base_args(data_dir, tmp_path / "o"),

@@ -182,7 +182,7 @@ def random_txdb(rng, max_items=6, max_tx=50) -> TransactionDB:
     for _ in range(n_tx):
         mask = rng.random(n_items) < rng.uniform(0.2, 0.8)
         transactions.append(frozenset(item for item, keep in zip(universe, mask) if keep))
-    return TransactionDB(transactions=transactions, move_threshold=0.001)
+    return TransactionDB(transactions=transactions)
 
 
 class TestApriori:
@@ -194,8 +194,7 @@ class TestApriori:
                 frozenset({a, b, c}),
                 frozenset({a}),
                 frozenset({c}),
-            ],
-            move_threshold=0.0,
+            ]
         )
         freq = apriori_frequent(txdb, min_support=0.5)
         assert freq[frozenset({a, b})] == 0.5
@@ -210,19 +209,18 @@ class TestApriori:
 
     def test_full_support_excludes_partial_item(self):
         a, b = ("A", UP), ("B", UP)
-        txdb = TransactionDB(
-            transactions=[frozenset({a, b}), frozenset({a})], move_threshold=0.0
-        )
+        txdb = TransactionDB(transactions=[frozenset({a, b}), frozenset({a})])
         freq = apriori_frequent(txdb, min_support=1.0)
         assert frozenset({a}) in freq and frozenset({b}) not in freq
 
     def test_empty_database(self):
         with pytest.raises(EmptyDatabaseError):
-            apriori_frequent(TransactionDB(transactions=[], move_threshold=0.0), 0.5)
+            apriori_frequent(TransactionDB(transactions=[]), 0.5)
 
     def test_matches_brute_force(self, rng):
-        for _ in range(30):
-            txdb = random_txdb(rng)
+        # 30 small databases, then a few with up to 10 items and 200 transactions
+        for max_items, max_tx in [(6, 50)] * 30 + [(10, 200)] * 5:
+            txdb = random_txdb(rng, max_items, max_tx)
             min_support = float(rng.choice([0.1, 0.25, 0.5]))
             fast = apriori_frequent(txdb, min_support)
             slow = brute_force_frequents(txdb.transactions, min_support)
@@ -270,7 +268,7 @@ def rules_of(*specs) -> RuleSet:
     from stockcast.relation_graph import Rule
 
     rules = [Rule(frozenset(a), frozenset(b), 0.4, 0.8, lift) for a, b, lift in specs]
-    return RuleSet(rules=rules, min_support=0.3, min_confidence=0.6, min_lift=1.7)
+    return RuleSet(rules=rules)
 
 
 class TestAssembleGraph:
