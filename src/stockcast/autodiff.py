@@ -118,7 +118,8 @@ def backward(
     """Propagate d(loss)/d(node) to every tracked leaf.
 
     With `params` given, their grads are reset first and returned by name;
-    parameters the loss never touched come back as zeros.
+    parameters the loss never touched come back as zeros. The tape is freed
+    as it is consumed, so a second call on the same loss finds no parents.
     """
     if loss.data.size != 1:
         raise NotScalarLossError(f"loss has shape {loss.data.shape}")
@@ -132,7 +133,10 @@ def backward(
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
-            node.grad = None  # free interior grads as soon as they are consumed
+            # free interior grads and the op's closure (its forward caches) at once
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     if params is None:
         return None

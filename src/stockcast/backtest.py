@@ -9,14 +9,18 @@ backward.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from datetime import date
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import (
     DegenerateSeriesError,
     DivergedLossError,
@@ -156,6 +160,91 @@ def step_seed(base_seed: int, step_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, step_index]).generate_state(1)[0])
 
 
+@functools.cache
+def _openblas() -> tuple | None:
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None when numpy ships no OpenBLAS that exports them."""
+    import ctypes
+    from pathlib import Path
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Give numpy's OpenBLAS `n` threads and return the count it had; without
+    one, change nothing and return None."""
+    found = _openblas()
+    if found is None:
+        return None
+    get, set_ = found
+    before = get()
+    set_(n)
+    return before
+
+
+def _fork_pool(workers: int):
+    """A pool of `workers` forked processes with one BLAS thread each, or None
+    when fewer than 2 workers are asked for or the platform cannot fork.
+
+    Forked, not spawned: a worker starts without importing the package again
+    and sees the parent's module state. The parent's only other threads are
+    OpenBLAS's, which OpenBLAS itself shuts down around a fork."""
+    if workers < 2:
+        return None
+    import multiprocessing  # imported here: it would add ~30% to the CLI's start-up
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_blas_threads, initargs=(1,))
+
+
+def run_step(
+    spec: ModelSpec,
+    panel: PricePanel,
+    graph_config: GraphConfig,
+    step: PlanStep,
+    seed: int,
+    initial_params: Mapping[str, Tensor] | None = None,
+) -> tuple[np.ndarray, np.ndarray, dict[str, Tensor]]:
+    """One step of the walk: refit scaler and graph on the step's training
+    range, train, and predict the test day.
+
+    Returns the scaled prediction and actual closes of the test day and the
+    trained parameters; raises whatever the step's data or training raises.
+    """
+    lookback = spec.train.lookback
+    train_range = DateRange(step.train_start, step.train_end)
+    train_panel = panel.window(train_range)
+    scaler = fit_scaler(train_panel, train_range)
+    scaled_train = scale(scaler, train_panel)
+
+    a_hat = None
+    if spec.kind == "hybrid":
+        returns = daily_returns(train_panel)
+        graph = build_graph(returns, graph_config)
+        a_hat = normalized_adjacency(graph)
+
+    windows = make_windows(scaled_train, train_panel.dates, lookback)
+    result = train(spec, windows, a_hat, seed=seed, initial_params=initial_params)
+    test_panel = panel.window(DateRange(step.test_date, step.test_date))
+    actual = scale(scaler, test_panel)[0]
+    prediction = predict(spec, result.params, scaled_train[-lookback:], a_hat)
+    return prediction, actual, result.params
+
+
 def run_backtest(
     spec: ModelSpec,
     panel: PricePanel,
@@ -172,47 +261,54 @@ def run_backtest(
     STEP_ERRORS (too few days, a diverged loss, ...) is recorded with its
     error under `failed`, excluded from the summary mean, and the walk goes
     on; any other exception propagates.
+
+    Without warm start the steps are independent, so they run in forked
+    worker processes, one per available CPU up to the step count. BLAS runs
+    on one thread on both paths, so the results do not depend on the CPUs.
     """
-    lookback = spec.train.lookback
     per_day: list[tuple[date, float]] = []
     failed: list[FailedStep] = []
     sq_sums = np.zeros(panel.n_stocks)
     n_scored = 0
     carried = None
+    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
-    for step in plan.steps:
-        try:
-            train_range = DateRange(step.train_start, step.train_end)
-            train_panel = panel.window(train_range)
-            scaler = fit_scaler(train_panel, train_range)
-            scaled_train = scale(scaler, train_panel)
+    with ExitStack() as stack:
+        # the BLAS thread count moves the last bits of a step's results, so
+        # every step runs on one BLAS thread, in a worker or not
+        blas_threads = _set_blas_threads(1)
+        if blas_threads is not None:
+            stack.callback(_set_blas_threads, blas_threads)
+        pool = None if warm_start else _fork_pool(min(n_cpus, plan.n_steps))
+        if pool is not None:
+            stack.callback(pool.shutdown, cancel_futures=True)
+            outcomes = [
+                pool.submit(run_step, spec, panel, graph_config, step,
+                            step_seed(base_seed, step.index)).result
+                for step in plan.steps
+            ]
+        else:
+            outcomes = [
+                lambda step=step: run_step(spec, panel, graph_config, step,
+                                           step_seed(base_seed, step.index), carried)
+                for step in plan.steps
+            ]
 
-            a_hat = None
-            if spec.kind == "hybrid":
-                returns = daily_returns(train_panel)
-                graph = build_graph(returns, graph_config)
-                a_hat = normalized_adjacency(graph)
+        for step, outcome in zip(plan.steps, outcomes):
+            try:
+                prediction, actual, params = outcome()
+            except STEP_ERRORS as exc:
+                # drop the traceback so a failed step does not keep its frames alive
+                failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
+                continue
+            if warm_start:
+                carried = params
 
-            windows = make_windows(scaled_train, train_panel.dates, lookback)
-            result = train(
-                spec, windows, a_hat,
-                seed=step_seed(base_seed, step.index),
-                initial_params=carried,
-            )
-            test_panel = panel.window(DateRange(step.test_date, step.test_date))
-            actual = scale(scaler, test_panel)[0]
-            prediction = predict(spec, result.params, scaled_train[-lookback:], a_hat)
-        except STEP_ERRORS as exc:
-            # drop the traceback so a failed step does not keep its frames alive
-            failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
-            continue
-        if warm_start:
-            carried = result.params
-
-        sq = (prediction - actual) ** 2
-        sq_sums += sq
-        n_scored += 1
-        per_day.append((step.test_date, float(sq.mean())))
+            sq = (prediction - actual) ** 2
+            sq_sums += sq
+            n_scored += 1
+            per_day.append((step.test_date, float(sq.mean())))
 
     summary = float(np.mean([m for _, m in per_day])) if per_day else math.nan
     per_stock = (

@@ -34,6 +34,7 @@ from .autodiff import (
 from .errors import (
     DivergedLossError,
     EmptyDatasetError,
+    ModelError,
     ShapeMismatchError,
     SingularSystemError,
 )
@@ -626,9 +627,29 @@ def load_model(path) -> tuple[ModelSpec, dict[str, Tensor]]:
         raw["fusion_hidden"] = tuple(raw["fusion_hidden"])
         raw["dense_hidden"] = tuple(raw["dense_hidden"])
         spec = ModelSpec(**raw)
-        params = {
-            name: Tensor(bundle[name], requires_grad=True)
-            for name in bundle.files
-            if name != "__meta__"
-        }
-    return spec, params
+        arrays = {name: bundle[name] for name in bundle.files if name != "__meta__"}
+    expected = _param_shapes(spec, arrays)
+    for name in sorted(expected.keys() | arrays.keys()):
+        if name not in arrays:
+            raise ModelError(f"{path}: missing array {name!r}")
+        if name not in expected:
+            raise ModelError(f"{path}: unexpected array {name!r} for a {spec.kind} model")
+        if arrays[name].shape != expected[name]:
+            raise ModelError(
+                f"{path}: array {name!r} has shape {arrays[name].shape}, expected {expected[name]}"
+            )
+    return spec, {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+
+
+def _param_shapes(spec: ModelSpec, arrays: Mapping[str, np.ndarray]) -> dict[str, tuple]:
+    """Parameter shapes a model of `spec` has; the stock count, which only
+    dense and linreg parameters depend on, is read from their output arrays."""
+    lookback = spec.train.lookback
+    if spec.kind == "linreg":
+        coef = arrays.get("ols.coef")
+        n_stocks = coef.shape[0] if coef is not None and coef.ndim else 1
+        return {"ols.coef": (n_stocks, lookback + 1)}
+    out_b = arrays.get("out.b")
+    n_stocks = out_b.shape[0] if out_b is not None and out_b.ndim else 1
+    rng = np.random.Generator(np.random.PCG64(0))
+    return {name: p.shape for name, p in init_params(spec, n_stocks, lookback, rng).items()}

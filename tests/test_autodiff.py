@@ -114,6 +114,18 @@ class TestBackward:
         with pytest.raises(DetachedGraphError):
             backward(loss, {"y": y})
 
+    def test_backward_frees_the_tape(self):
+        x = t([1.0, -2.0], grad=True)
+        hidden = relu(scale(x, 3.0))
+        loss = mse_loss(hidden, t([0.0, 0.0]))
+        grads = backward(loss, {"x": x})
+        assert np.array_equal(grads["x"], [9.0, 0.0])
+        assert loss._parents == () and loss._backward is None
+        assert hidden._parents == () and hidden._backward is None
+        # a spent tape must not hand back stale or zero grads
+        with pytest.raises(DetachedGraphError):
+            backward(loss, {"x": x})
+
     def test_untouched_leaves_get_zero(self):
         x = t([1.0], grad=True)
         unused = t([2.0], grad=True)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +17,12 @@ from stockcast.backtest import (
     run_backtest,
     step_seed,
 )
-from stockcast.errors import InsufficientHistoryError, LengthMismatchError, ShapeMismatchError
+from stockcast.errors import (
+    InsufficientHistoryError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    SliceTooShortError,
+)
 from stockcast.market_data import DateRange, fit_scaler
 from stockcast.models import ModelSpec, TrainConfig
 from stockcast.relation_graph import GraphConfig
@@ -182,6 +191,8 @@ class TestRunBacktest:
             raise ShapeMismatchError("broken step")
 
         monkeypatch.setattr(backtest, "train", broken_train)
+        # two steps on two CPUs: the forked workers inherit the patch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         panel = random_walk_panel(3, 40, seed=9)
         plan = expanding_schedule(panel.dates, 30, 2)
         with pytest.raises(ShapeMismatchError, match="broken step"):
@@ -213,6 +224,79 @@ class TestRunBacktest:
         report = run_backtest(spec, panel, GraphConfig(), plan, base_seed=2)
         assert len(report.per_day) == 3
         assert all(math.isfinite(v) and v >= 0 for _, v in report.per_day)
+
+
+class TestParallelWalk:
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the CPU count run_backtest sees and count the pools it creates."""
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            pools.clear()
+            return pools
+
+        return set_cpus
+
+    @pytest.mark.parametrize("kind", ["hybrid", "dense"])
+    def test_pool_and_inline_walks_agree(self, cpus, kind):
+        panel = lead_lag_panel(56, seed=9)
+        plan = expanding_schedule(panel.dates, 40, 4)
+        spec = ModelSpec(
+            kind, hidden_size=4, lstm_layers=2, gcn_hidden=3, gcn_out=2,
+            fusion_hidden=(3,), dense_hidden=(5,),
+            train=TrainConfig(lookback=5, epochs=3, dropout=0.5, seed=1),
+        )
+        reports = []
+        for n_cpus, n_pools in ((1, 0), (2, 1)):
+            pools = cpus(n_cpus)
+            reports.append(run_backtest(spec, panel, GraphConfig(), plan, base_seed=2))
+            assert len(pools) == n_pools
+        inline, pooled = reports
+        assert len(inline.per_day) == 4 and not inline.failed
+        assert pooled.per_day == inline.per_day
+        assert pooled.per_stock == inline.per_stock
+        assert pooled.summary_mse == inline.summary_mse
+
+    def test_step_error_in_a_worker_is_contained(self, cpus):
+        # step 0's 3 days cannot hold a lookback-3 window; step 1 gains a day
+        panel = lead_lag_panel(20, seed=3)
+        plan = expanding_schedule(panel.dates, 3, 2)
+        spec = ModelSpec("dense", dense_hidden=(2,),
+                         train=TrainConfig(lookback=3, epochs=10, dropout=0.0))
+        failures = []
+        for n_cpus, n_pools in ((1, 0), (2, 1)):
+            pools = cpus(n_cpus)
+            report = run_backtest(spec, panel, GraphConfig(), plan)
+            assert len(pools) == n_pools
+            assert [type(f.error) for f in report.failed] == [SliceTooShortError]
+            assert [d for d, _ in report.per_day] == [plan.test_dates[1]]
+            failures.append([(f.index, f.test_date, f.reason) for f in report.failed])
+        assert failures[1] == failures[0]
+        assert failures[0][0][1] == plan.test_dates[0]
+
+    def test_warm_start_never_creates_a_pool(self, cpus):
+        pools = cpus(2)
+        panel = lead_lag_panel(44, seed=15)
+        plan = expanding_schedule(panel.dates, 30, 3)
+        spec = ModelSpec("dense", dense_hidden=(6,),
+                         train=TrainConfig(lookback=4, epochs=2, dropout=0.0))
+        report = run_backtest(spec, panel, GraphConfig(), plan, warm_start=True)
+        assert len(report.per_day) == 3
+        assert pools == []
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        code = "import stockcast.cli, sys; assert 'multiprocessing' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestGridSearch:

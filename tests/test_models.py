@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from stockcast.autodiff import Tensor, backward, gradient_check, mse_loss, narrow, reshape
-from stockcast.errors import DivergedLossError, EmptyDatasetError, ShapeMismatchError
+from stockcast.errors import (
+    DivergedLossError,
+    EmptyDatasetError,
+    ModelError,
+    ShapeMismatchError,
+)
 from stockcast.market_data import WindowDataset
 from stockcast.models import (
     EarlyStopper,
@@ -112,6 +117,25 @@ class TestLstm:
             max_coords=12,
         )
         assert err < 1e-4
+
+    def test_stacked_recurrence_with_dropout_gradients(self, rng):
+        # four time steps through two layers, with dropout between them in
+        # training mode; every coordinate of the weights and the input is probed
+        shapes = {"lstm0.wx": (2, 12), "lstm0.wh": (3, 12), "lstm0.b": (12,),
+                  "lstm1.wx": (3, 12), "lstm1.wh": (3, 12), "lstm1.b": (12,), "x": (2, 4, 2)}
+        params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        target = rng.normal(size=(2, 3))
+
+        def build(p, training=True):
+            triples = [(p[f"lstm{k}.wx"], p[f"lstm{k}.wh"], p[f"lstm{k}.b"]) for k in range(2)]
+            # reseeded on every call, so each evaluation draws the same masks
+            masks = np.random.Generator(np.random.PCG64(7))
+            h = lstm_stack(p["x"], triples, dropout_rate=0.5, training=training, rng=masks)
+            return mse_loss(h, Tensor(target))
+
+        assert build(params).item() != build(params, training=False).item()
+        assert gradient_check(build, params, max_coords=36) < 1e-4
 
     def test_shape_validation(self, rng):
         params = init_params(tiny_spec("lstm"), 1, 4, rng)
@@ -484,3 +508,38 @@ class TestPersistence:
         assert np.array_equal(
             predict(spec, result.params, window), predict(spec2, params2, window)
         )
+
+    @pytest.fixture
+    def saved_dense(self, tmp_path, rng):
+        spec = tiny_spec("dense")
+        arrays = {name: p.data for name, p in init_params(spec, 3, 4, rng).items()}
+        return spec, arrays, tmp_path / "m.npz"
+
+    def tamper(self, spec, arrays, path):
+        save_model(path, spec, {name: Tensor(a) for name, a in arrays.items()})
+        return path
+
+    def test_linreg_round_trip(self, tmp_path, rng):
+        spec = tiny_spec("linreg")
+        coef = rng.normal(size=(3, spec.train.lookback + 1))
+        path = self.tamper(spec, {"ols.coef": coef}, tmp_path / "m.npz")
+        _, params = load_model(path)
+        assert np.array_equal(params["ols.coef"].data, coef)
+
+    def test_missing_array_is_rejected(self, saved_dense):
+        spec, arrays, path = saved_dense
+        del arrays["dense1.w"]
+        with pytest.raises(ModelError, match="missing array 'dense1.w'"):
+            load_model(self.tamper(spec, arrays, path))
+
+    def test_extra_array_is_rejected(self, saved_dense):
+        spec, arrays, path = saved_dense
+        arrays["dense9.w"] = np.zeros((2, 2))
+        with pytest.raises(ModelError, match="unexpected array 'dense9.w'"):
+            load_model(self.tamper(spec, arrays, path))
+
+    def test_misshapen_array_is_rejected(self, saved_dense):
+        spec, arrays, path = saved_dense
+        arrays["dense0.w"] = arrays["dense0.w"][:-1]  # one lag too few
+        with pytest.raises(ModelError, match="array 'dense0.w' has shape"):
+            load_model(self.tamper(spec, arrays, path))
