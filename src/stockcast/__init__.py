@@ -33,7 +33,6 @@ from .models import EarlyStopper, ModelSpec, TrainConfig, load_model, save_model
 from .relation_graph import (
     CorrMatrix,
     GraphConfig,
-    NormAdj,
     RuleSet,
     StockGraph,
     TransactionDB,

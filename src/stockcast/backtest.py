@@ -13,7 +13,7 @@ import functools
 import math
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from itertools import product
 from typing import Mapping, Sequence
@@ -40,7 +40,7 @@ from .market_data import (
     make_windows,
     scale,
 )
-from .models import ModelSpec, TrainConfig, predict, train
+from .models import ModelSpec, predict, train
 from .relation_graph import GraphConfig, build_graph, normalized_adjacency
 
 
@@ -105,7 +105,6 @@ class GridSpace:
     learning_rates: list[float]
     lookbacks: list[int]
     epoch_caps: list[int]
-    base: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
         if not (self.learning_rates and self.lookbacks and self.epoch_caps):
@@ -337,13 +336,16 @@ def grid_search(
     """Backtest every (learning rate, lookback, epochs) cell and rank by mean
     MSE ascending; ties and failed cells order by the axis values.
 
+    Each cell trains `template` with those three settings of `template.train`
+    replaced and every other setting kept.
+
     A cell fails when its backtest raises, when any step failed for a reason
     other than a diverged loss, or when no step was scored, so no cell ranks
     on the fewer test days its data could support.
     """
     cells: list[GridCell] = []
     for lr, lookback, epochs in product(space.learning_rates, space.lookbacks, space.epoch_caps):
-        cfg = replace(space.base, learning_rate=lr, lookback=lookback, epochs=epochs)
+        cfg = replace(template.train, learning_rate=lr, lookback=lookback, epochs=epochs)
         cell_spec = replace(template, train=cfg)
         try:
             report = run_backtest(cell_spec, panel, graph_config, plan, base_seed)
@@ -378,9 +380,9 @@ def compare_models(
     base_seed: int = 0,
     warm_start: bool = False,
 ) -> list[tuple[ModelSpec, BacktestReport]]:
-    """Run several specs through identical plans and seeds, in given order."""
-    if len(specs) < 2:
-        raise ValueError("compare_models needs at least 2 specs")
+    """Run one or more specs through identical plans and seeds, in given order."""
+    if not specs:
+        raise ValueError("compare_models needs at least 1 spec")
     return [
         (spec, run_backtest(spec, panel, graph_config, plan, base_seed,
                             warm_start=warm_start))

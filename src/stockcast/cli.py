@@ -23,7 +23,6 @@ from .backtest import (
     compare_models,
     expanding_schedule,
     grid_search,
-    run_backtest,
 )
 from .config import RunConfig, load_config, manifest_lines
 from .errors import ConfigError, DataFileError, MarketDataError, ModelError, StockcastError
@@ -159,56 +158,46 @@ def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
-def _write_backtest_outputs(
-    out_dir: Path, results: list[tuple[str, BacktestReport]]
-) -> None:
-    primary = results[0][1]
+def _write_backtest_outputs(out_dir: Path, reports: list[BacktestReport]) -> None:
     _write_csv(
         out_dir / "per_day_mse.csv",
         ("date", "mse"),
-        [(day.isoformat(), _fmt(value)) for day, value in primary.per_day],
+        [(day.isoformat(), _fmt(value)) for day, value in reports[0].per_day],
     )
-    stock_rows = []
-    for kind, report in results:
-        for ticker, value in report.per_stock:
-            stock_rows.append((ticker, kind, _fmt(value)))
-    _write_csv(out_dir / "per_stock_mse.csv", ("ticker", "model", "mse"), stock_rows)
+    _write_csv(
+        out_dir / "per_stock_mse.csv",
+        ("ticker", "model", "mse"),
+        [(ticker, r.kind, _fmt(value)) for r in reports for ticker, value in r.per_stock],
+    )
     _write_csv(
         out_dir / "model_comparison.csv",
         ("model", "mean_mse"),
-        [(kind, _fmt(report.summary_mse)) for kind, report in results],
+        [(r.kind, _fmt(r.summary_mse)) for r in reports],
     )
 
 
 def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
     _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
-    graph_config = cfg.to_graph_config()
     specs = [cfg.to_model_spec(kind) for kind in cfg.models]
-
-    if len(specs) == 1:
-        results = [(
-            specs[0].kind,
-            run_backtest(specs[0], panel, graph_config, plan, cfg.seed,
-                         warm_start=cfg.warm_start),
-        )]
-    else:
-        pairs = compare_models(specs, panel, graph_config, plan, cfg.seed,
-                               warm_start=cfg.warm_start)
-        results = [(spec.kind, report) for spec, report in pairs]
-    for _, report in results:
+    reports = [
+        report
+        for _, report in compare_models(specs, panel, cfg.to_graph_config(), plan, cfg.seed,
+                                        warm_start=cfg.warm_start)
+    ]
+    for report in reports:
         if not report.per_day:  # no step scored: fail with the first step's error
             raise report.failed[0].error
 
-    _write_backtest_outputs(out_dir, results)
+    _write_backtest_outputs(out_dir, reports)
     _write_manifest(
         out_dir,
         cfg,
         "backtest",
         {
             "n_steps": plan.n_steps,
-            "excluded_steps": {kind: len(r.failed) for kind, r in results},
-            "mean_mse": {kind: r.summary_mse for kind, r in results},
+            "excluded_steps": {r.kind: len(r.failed) for r in reports},
+            "mean_mse": {r.kind: r.summary_mse for r in reports},
         },
     )
 
@@ -220,7 +209,6 @@ def cmd_gridsearch(cfg: RunConfig, out_dir: Path) -> None:
         learning_rates=cfg.grid_learning_rates,
         lookbacks=cfg.grid_lookbacks,
         epoch_caps=cfg.grid_epochs,
-        base=cfg.to_train_config(),
     )
     template = cfg.to_model_spec(cfg.models[0])
     cells = grid_search(space, template, panel, cfg.to_graph_config(), plan, cfg.seed)

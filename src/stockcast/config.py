@@ -29,6 +29,11 @@ EPOCH_BOUNDS = (10, 50)
 
 ARTIFACT_VERSION = "stockcast 0.1.0"
 
+# the library defaults of every key RunConfig shares with a spec dataclass
+_GRAPH = GraphConfig()
+_TRAIN = TrainConfig()
+_MODEL = ModelSpec("hybrid")
+
 
 @dataclass
 class RunConfig:
@@ -38,31 +43,31 @@ class RunConfig:
     start_date: str = ""  # optional ISO date; empty means panel start
     end_date: str = ""
     # graph
-    corr_threshold: float = 0.7
-    min_support: float = 0.30
-    min_confidence: float = 0.60
-    min_lift: float = 1.7
-    move_threshold: float = 0.001
-    lift_cap: float = 3.0
+    corr_threshold: float = _GRAPH.corr_threshold
+    min_support: float = _GRAPH.min_support
+    min_confidence: float = _GRAPH.min_confidence
+    min_lift: float = _GRAPH.min_lift
+    move_threshold: float = _GRAPH.move_threshold
+    lift_cap: float = _GRAPH.lift_cap
     # models
     models: list[str] = field(default_factory=lambda: ["hybrid"])
-    hidden_size: int = 32
-    lstm_layers: int = 2
-    gcn_hidden: int = 32
-    gcn_out: int = 16
-    fusion_hidden: list[int] = field(default_factory=lambda: [32])
-    dense_hidden: list[int] = field(default_factory=lambda: [32, 32])
-    cnn_channels: int = 16
-    cnn_kernel: int = 3
+    hidden_size: int = _MODEL.hidden_size
+    lstm_layers: int = _MODEL.lstm_layers
+    gcn_hidden: int = _MODEL.gcn_hidden
+    gcn_out: int = _MODEL.gcn_out
+    fusion_hidden: list[int] = field(default_factory=lambda: list(_MODEL.fusion_hidden))
+    dense_hidden: list[int] = field(default_factory=lambda: list(_MODEL.dense_hidden))
+    cnn_channels: int = _MODEL.cnn_channels
+    cnn_kernel: int = _MODEL.cnn_kernel
     # training
-    learning_rate: float = 0.005
-    lookback: int = 11
-    epochs: int = 40
+    learning_rate: float = _TRAIN.learning_rate
+    lookback: int = _TRAIN.lookback
+    epochs: int = _TRAIN.epochs
     batch_size: int = 0  # 0 means full batch
-    dropout: float = 0.5
-    patience: int = 5
-    min_delta: float = 1e-6
-    val_fraction: float = 0.1
+    dropout: float = _TRAIN.dropout
+    patience: int = _TRAIN.patience
+    min_delta: float = _TRAIN.min_delta
+    val_fraction: float = _TRAIN.val_fraction
     warm_start: bool = False  # carry parameters across backtest steps
     # backtest plan
     base_train_days: int = 504
@@ -73,44 +78,23 @@ class RunConfig:
     grid_epochs: list[int] = field(default_factory=lambda: [10, 20, 30, 40, 50])
     # run
     out_dir: str = "out"
-    seed: int = 0
+    seed: int = _TRAIN.seed
+
+    def _build(self, cls, **explicit):
+        """`cls` with each field not in `explicit` read from the key of the
+        same name; a field with no such key raises AttributeError."""
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(cls) if f.name not in explicit}
+        return cls(**shared, **explicit)
 
     def to_graph_config(self) -> GraphConfig:
-        return GraphConfig(
-            corr_threshold=self.corr_threshold,
-            min_support=self.min_support,
-            min_confidence=self.min_confidence,
-            min_lift=self.min_lift,
-            move_threshold=self.move_threshold,
-            lift_cap=self.lift_cap,
-        )
+        return self._build(GraphConfig)
 
     def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            lookback=self.lookback,
-            epochs=self.epochs,
-            batch_size=self.batch_size or None,
-            dropout=self.dropout,
-            patience=self.patience,
-            min_delta=self.min_delta,
-            val_fraction=self.val_fraction,
-            seed=self.seed,
-        )
+        return self._build(TrainConfig, batch_size=self.batch_size or None)
 
     def to_model_spec(self, kind: str) -> ModelSpec:
-        return ModelSpec(
-            kind=kind,
-            hidden_size=self.hidden_size,
-            lstm_layers=self.lstm_layers,
-            gcn_hidden=self.gcn_hidden,
-            gcn_out=self.gcn_out,
-            fusion_hidden=tuple(self.fusion_hidden),
-            dense_hidden=tuple(self.dense_hidden),
-            cnn_channels=self.cnn_channels,
-            cnn_kernel=self.cnn_kernel,
-            train=self.to_train_config(),
-        )
+        return self._build(ModelSpec, kind=kind, train=self.to_train_config())
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -121,12 +105,26 @@ def _check(condition: bool, name: str, message: str) -> None:
         raise ConfigError(f"{name}: {message}")
 
 
+def _checked_build(build, *args):
+    """`build(*args)`, its ValueError raised as a ConfigError. The spec
+    dataclasses open their messages with the field name, which is also the
+    RunConfig key; only the model kind is named differently."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        key, _, rest = str(exc).partition(" ")
+        if key not in _FIELDS:
+            key, rest = "models", str(exc)
+        raise ConfigError(f"{key}: {rest}") from None
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Total validation with a named-field diagnostic on the first failure.
 
-    Model and training ranges are checked once, by building the ModelSpec of
-    every configured kind; only keys that exist in RunConfig alone are
-    checked here.
+    Graph, model and training ranges are checked once, by the dataclasses
+    that own them: building the GraphConfig and the ModelSpec of every
+    configured kind runs their checks. Only keys that exist in RunConfig
+    alone, and its tighter epoch bounds, are checked here.
     """
     _check(bool(cfg.tickers), "tickers", "must not be empty")
     _check(len(set(cfg.tickers)) == len(cfg.tickers), "tickers", "contains duplicates")
@@ -137,26 +135,13 @@ def validate_config(cfg: RunConfig) -> None:
                 date.fromisoformat(value)
             except ValueError:
                 raise ConfigError(f"{name}: not an ISO date: {value!r}") from None
-    _check(0.0 < cfg.corr_threshold < 1.0, "corr_threshold", "must be in (0, 1)")
-    _check(0.0 < cfg.min_support <= 1.0, "min_support", "must be in (0, 1]")
-    _check(0.0 < cfg.min_confidence <= 1.0, "min_confidence", "must be in (0, 1]")
-    _check(cfg.min_lift > 0.0, "min_lift", "must be > 0")
-    _check(cfg.move_threshold >= 0.0, "move_threshold", "must be >= 0")
-    _check(cfg.lift_cap > 0.0, "lift_cap", "must be > 0")
+    _checked_build(cfg.to_graph_config)
     _check(bool(cfg.models), "models", "must not be empty")
     _check(cfg.batch_size >= 0, "batch_size", "must be >= 0 (0 = full batch)")
     lo, hi = EPOCH_BOUNDS
     _check(lo <= cfg.epochs <= hi, "epochs", f"must be in [{lo}, {hi}]")
     for kind in cfg.models:
-        try:
-            cfg.to_model_spec(kind)
-        except ValueError as exc:
-            # the dataclasses open their messages with the field name, which is
-            # also the RunConfig key; only the model kind is named differently
-            key, _, rest = str(exc).partition(" ")
-            if key not in _FIELDS:
-                key, rest = "models", str(exc)
-            raise ConfigError(f"{key}: {rest}") from None
+        _checked_build(cfg.to_model_spec, kind)
     _check(cfg.base_train_days >= 2, "base_train_days", "must be >= 2")
     _check(cfg.test_count >= 1, "test_count", "must be >= 1")
     _check(cfg.base_train_days > cfg.lookback + 1, "base_train_days",

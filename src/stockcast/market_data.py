@@ -103,12 +103,11 @@ class ReturnPanel:
 
 @dataclass(eq=False)
 class Scaler:
-    """Per-ticker min-max extrema fitted over a stated date range."""
+    """Per-ticker min-max extrema fitted over one date range."""
 
     tickers: list[str]
     x_min: np.ndarray  # (N,)
     x_max: np.ndarray  # (N,)
-    fit_range: DateRange
 
 
 @dataclass(eq=False)
@@ -219,7 +218,7 @@ def fit_scaler(panel: PricePanel, fit_range: DateRange) -> Scaler:
     if flat.size:
         names = [panel.tickers[i] for i in flat]
         raise DegenerateSeriesError(f"constant closes over fit range: {names}")
-    return Scaler(tickers=list(panel.tickers), x_min=x_min, x_max=x_max, fit_range=fit_range)
+    return Scaler(tickers=list(panel.tickers), x_min=x_min, x_max=x_max)
 
 
 def scale(scaler: Scaler, panel: PricePanel) -> np.ndarray:

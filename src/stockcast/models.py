@@ -40,7 +40,6 @@ from .errors import (
 )
 from .market_data import WindowDataset
 from .optim import AdamState, adam_step
-from .relation_graph import NormAdj
 
 MODEL_KINDS = ("hybrid", "lstm", "linreg", "dense", "cnn1d")
 
@@ -346,7 +345,7 @@ def _layer_triples(
 
 def gcn_forward(
     features,
-    a_hat: NormAdj | np.ndarray,
+    a_hat: np.ndarray,
     params: Mapping[str, Tensor],
     dropout_rate: float = 0.0,
     training: bool = False,
@@ -357,7 +356,7 @@ def gcn_forward(
     `features` rows are node features; leading batch axes broadcast through.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
-    adj = a_hat.a_hat if isinstance(a_hat, NormAdj) else np.asarray(a_hat, dtype=np.float64)
+    adj = np.asarray(a_hat, dtype=np.float64)
     if x.shape[-2] != adj.shape[0]:
         raise ShapeMismatchError(f"{x.shape[-2]} feature rows vs {adj.shape[0]} graph nodes")
     a = Tensor(adj)
@@ -499,7 +498,7 @@ def _as_params(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
 def train(
     spec: ModelSpec,
     dataset: WindowDataset,
-    a_hat: NormAdj | np.ndarray | None = None,
+    a_hat: np.ndarray | None = None,
     seed: int | None = None,
     initial_params: Mapping[str, Tensor] | None = None,
 ) -> TrainResult:
@@ -600,7 +599,7 @@ def predict(
     spec: ModelSpec,
     params: Mapping[str, Tensor],
     window: np.ndarray,
-    a_hat: NormAdj | np.ndarray | None = None,
+    a_hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode predictions (N,) for one (L, N) window."""
     x = Tensor(np.asarray(window, dtype=np.float64)[None, :, :])

@@ -70,14 +70,6 @@ class StockGraph:
     rules: RuleSet  # the mined rules behind the assoc edges
 
 
-@dataclass(eq=False)
-class NormAdj:
-    """Degree-normalized adjacency with self-loops: D^-1/2 (W + I) D^-1/2."""
-
-    tickers: list[str]
-    a_hat: np.ndarray  # (N, N)
-
-
 @dataclass(frozen=True, slots=True)
 class GraphConfig:
     corr_threshold: float = 0.7
@@ -86,6 +78,20 @@ class GraphConfig:
     min_lift: float = 1.7
     move_threshold: float = 0.001
     lift_cap: float = 3.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.corr_threshold < 1.0:
+            raise ValueError(f"corr_threshold must be in (0, 1), got {self.corr_threshold}")
+        if not 0.0 < self.min_support <= 1.0:
+            raise ValueError(f"min_support must be in (0, 1], got {self.min_support}")
+        if not 0.0 < self.min_confidence <= 1.0:
+            raise ValueError(f"min_confidence must be in (0, 1], got {self.min_confidence}")
+        if not self.min_lift > 0.0:
+            raise ValueError(f"min_lift must be > 0, got {self.min_lift}")
+        if not self.move_threshold >= 0.0:
+            raise ValueError(f"move_threshold must be >= 0, got {self.move_threshold}")
+        if not self.lift_cap > 0.0:
+            raise ValueError(f"lift_cap must be > 0, got {self.lift_cap}")
 
 
 def pearson_matrix(returns: ReturnPanel) -> CorrMatrix:
@@ -265,8 +271,9 @@ def assemble_graph(
     return StockGraph(tickers=list(tickers), edges=edges, rules=rules)
 
 
-def normalized_adjacency(graph: StockGraph) -> NormAdj:
-    """Self-looped, symmetrically degree-normalized adjacency D^-1/2 (W+I) D^-1/2."""
+def normalized_adjacency(graph: StockGraph) -> np.ndarray:
+    """Self-looped, symmetrically degree-normalized adjacency D^-1/2 (W+I) D^-1/2,
+    an (N, N) array in the order of graph.tickers."""
     n = len(graph.tickers)
     index = {t: i for i, t in enumerate(graph.tickers)}
     a = np.eye(n)
@@ -275,8 +282,7 @@ def normalized_adjacency(graph: StockGraph) -> NormAdj:
         a[index[v], index[u]] = edge.weight
     degree = a.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    a_hat = a * np.outer(inv_sqrt, inv_sqrt)
-    return NormAdj(tickers=list(graph.tickers), a_hat=a_hat)
+    return a * np.outer(inv_sqrt, inv_sqrt)
 
 
 def build_graph(returns: ReturnPanel, config: GraphConfig = GraphConfig()) -> StockGraph:

@@ -212,7 +212,7 @@ class TestAdjacencySpectrum:
                     if rng.random() < 0.5:
                         corr_edges[(tickers[i], tickers[j])] = float(rng.uniform(0.01, 1.0))
             graph = assemble_graph(corr_edges, rules_of(), tickers)
-            a_hat = normalized_adjacency(graph).a_hat
+            a_hat = normalized_adjacency(graph)
             eigenvalues = np.linalg.eigvalsh(a_hat)
             worst_low = max(worst_low, -1.0 - eigenvalues.min())
             worst_high = max(worst_high, eigenvalues.max() - 1.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ class TestGridSearch:
 
     def test_single_cell_trivially_best(self):
         panel, plan = self.make_inputs()
-        space = GridSpace([0.005], [3], [10], base=linreg_spec().train)
+        space = GridSpace([0.005], [3], [10])
         cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
         assert len(cells) == 1
         assert cells[0].rank == 1
@@ -315,10 +316,7 @@ class TestGridSearch:
     def test_paper_axes_cell_count(self):
         panel = random_walk_panel(3, 80, seed=12)
         plan = expanding_schedule(panel.dates, 40, 3)
-        space = GridSpace(
-            [0.001, 0.005, 0.01], [11, 21], [10, 20, 30, 40, 50],
-            base=linreg_spec().train,
-        )
+        space = GridSpace([0.001, 0.005, 0.01], [11, 21], [10, 20, 30, 40, 50])
         cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
         assert len(cells) == 30
         assert [c.rank for c in cells] == list(range(1, 31))
@@ -327,14 +325,14 @@ class TestGridSearch:
         # linreg ignores learning rate and epochs, so every cell with the same
         # lookback ties exactly and ranking must fall back to the axis order
         panel, plan = self.make_inputs()
-        space = GridSpace([0.01, 0.001], [3], [20, 10], base=linreg_spec().train)
+        space = GridSpace([0.01, 0.001], [3], [20, 10])
         cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
         ordered = [(c.learning_rate, c.lookback, c.epochs) for c in cells]
         assert ordered == [(0.001, 3, 10), (0.001, 3, 20), (0.01, 3, 10), (0.01, 3, 20)]
 
     def test_ranking_ascending_by_mse(self):
         panel, plan = self.make_inputs()
-        space = GridSpace([0.005], [2, 3, 5], [10], base=linreg_spec().train)
+        space = GridSpace([0.005], [2, 3, 5], [10])
         cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
         values = [c.mean_mse for c in cells]
         assert values == sorted(values)
@@ -342,7 +340,7 @@ class TestGridSearch:
     def test_failed_cells_ranked_last(self):
         panel, plan = self.make_inputs()
         base = TrainConfig(lookback=3, epochs=10, dropout=0.0)
-        space = GridSpace([1e200, 0.01], [3], [10], base=base)
+        space = GridSpace([1e200, 0.01], [3], [10])
         template = ModelSpec("dense", dense_hidden=(4,), train=base)
         with np.errstate(over="ignore", invalid="ignore"):
             cells = grid_search(space, template, panel, GraphConfig(), plan)
@@ -355,7 +353,7 @@ class TestGridSearch:
         panel = lead_lag_panel(20, seed=3)
         plan = expanding_schedule(panel.dates, 3, 2)
         base = TrainConfig(lookback=1, epochs=10, dropout=0.0)
-        space = GridSpace([0.01, 0.005], [1], [10], base=base)
+        space = GridSpace([0.01, 0.005], [1], [10])
         template = ModelSpec("hybrid", hidden_size=2, lstm_layers=1, gcn_hidden=2, gcn_out=2,
                              fusion_hidden=(2,), train=base)
         cells = grid_search(space, template, panel, GraphConfig(), plan)
@@ -365,7 +363,7 @@ class TestGridSearch:
     def test_lookback_shorter_than_kernel_is_a_failed_cell(self):
         panel, plan = self.make_inputs()
         base = TrainConfig(lookback=3, epochs=10, dropout=0.0)
-        space = GridSpace([0.01], [2, 3], [10], base=base)
+        space = GridSpace([0.01], [2, 3], [10])
         template = ModelSpec("cnn1d", cnn_channels=2, cnn_kernel=3, dense_hidden=(2,), train=base)
         cells = grid_search(space, template, panel, GraphConfig(), plan)
         assert [(c.lookback, c.failed, c.rank) for c in cells] == [(3, False, 1), (2, True, 2)]
@@ -376,7 +374,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(backtest, "train", broken_train)
         panel, plan = self.make_inputs()
-        space = GridSpace([0.005], [3], [10], base=linreg_spec().train)
+        space = GridSpace([0.005], [3], [10])
         with pytest.raises(TypeError, match="broken cell"):
             grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
 
@@ -384,12 +382,31 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             GridSpace([], [3], [10])
 
+    def test_cell_trains_on_template_settings(self):
+        # every setting of template.train other than the three axes reaches the
+        # cell: its MSE is that of the template's own backtest with them replaced
+        panel, plan = self.make_inputs()
+        template = ModelSpec("dense", dense_hidden=(4,), train=TrainConfig(
+            lookback=3, epochs=10, dropout=0.25, val_fraction=0.3, patience=2))
+        cells = grid_search(GridSpace([0.02], [4], [12]), template, panel, GraphConfig(), plan)
+        train_cfg = replace(template.train, learning_rate=0.02, lookback=4, epochs=12)
+        report = run_backtest(replace(template, train=train_cfg), panel, GraphConfig(), plan)
+        assert not cells[0].failed
+        assert cells[0].mean_mse == report.summary_mse
+
 
 class TestCompareModels:
-    def test_needs_two_specs(self):
+    def test_needs_a_spec(self):
         panel, plan = TestGridSearch().make_inputs()
         with pytest.raises(ValueError):
-            compare_models([linreg_spec()], panel, GraphConfig(), plan)
+            compare_models([], panel, GraphConfig(), plan)
+
+    def test_one_spec_matches_its_backtest(self):
+        panel, plan = TestGridSearch().make_inputs()
+        [(spec, report)] = compare_models([linreg_spec()], panel, GraphConfig(), plan, base_seed=2)
+        alone = run_backtest(linreg_spec(), panel, GraphConfig(), plan, base_seed=2)
+        assert spec == linreg_spec()
+        assert report.per_day == alone.per_day and report.per_stock == alone.per_stock
 
     def test_aligned_table_and_determinism(self):
         panel = random_walk_panel(3, 46, seed=13)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -11,6 +12,8 @@ from stockcast import market_data, relation_graph
 from stockcast.cli import main
 from stockcast.config import EPOCH_BOUNDS, RunConfig, load_config
 from stockcast.errors import ConfigError
+from stockcast.models import MODEL_KINDS, ModelSpec, TrainConfig
+from stockcast.relation_graph import GraphConfig
 from stockcast.synthetic import lead_lag_panel, random_walk_panel
 
 
@@ -55,8 +58,8 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
-# one bad value for each key whose range check lives in TrainConfig or
-# ModelSpec, plus two keys RunConfig checks itself
+# one bad value for each key whose range check lives in TrainConfig,
+# ModelSpec or GraphConfig, plus one key RunConfig checks itself
 BAD_VALUES = [
     ("hidden_size", "0"),
     ("lstm_layers", "0"),
@@ -74,6 +77,11 @@ BAD_VALUES = [
     ("min_delta", "-0.001"),
     ("models", "hybrid,svm"),
     ("corr_threshold", "1.5"),
+    ("min_support", "0"),
+    ("min_confidence", "5"),
+    ("min_lift", "-1"),
+    ("move_threshold", "-0.001"),
+    ("lift_cap", "0"),
     ("batch_size", "-1"),
 ]
 
@@ -135,6 +143,16 @@ class TestConfig:
         assert spec.kind == "hybrid"
         assert spec.train.learning_rate == cfg.learning_rate
         assert spec.train.batch_size is None  # 0 means full batch
+
+    def test_spec_fields_are_keys_with_library_defaults(self):
+        # the to_* methods read every spec field from the key of the same name
+        for cls in (GraphConfig, TrainConfig, ModelSpec):
+            for f in dataclasses.fields(cls):
+                if f.name not in ("kind", "train"):
+                    assert f.name in RunConfig.__dataclass_fields__, (cls.__name__, f.name)
+        assert RunConfig().to_graph_config() == GraphConfig()
+        for kind in MODEL_KINDS:
+            assert RunConfig().to_model_spec(kind) == ModelSpec(kind)
 
 
 class TestIngest:

@@ -312,12 +312,12 @@ class TestAssembleGraph:
 class TestNormalizedAdjacency:
     def test_two_nodes_one_unit_edge(self):
         graph = assemble_graph({("A", "B"): 1.0}, rules_of(), ["A", "B"])
-        a_hat = normalized_adjacency(graph).a_hat
+        a_hat = normalized_adjacency(graph)
         assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_isolated_node_keeps_unit_self_loop(self):
         graph = assemble_graph({("A", "B"): 0.9}, rules_of(), ["A", "B", "C"])
-        a_hat = normalized_adjacency(graph).a_hat
+        a_hat = normalized_adjacency(graph)
         assert a_hat[2, 2] == 1.0
         assert np.all(a_hat[2, :2] == 0.0) and np.all(a_hat[:2, 2] == 0.0)
 
@@ -330,7 +330,7 @@ class TestNormalizedAdjacency:
                 for j in range(i + 1, n):
                     if rng.random() < 0.4:
                         corr_edges[(tickers[i], tickers[j])] = float(rng.uniform(0.05, 1.0))
-            a_hat = normalized_adjacency(assemble_graph(corr_edges, rules_of(), tickers)).a_hat
+            a_hat = normalized_adjacency(assemble_graph(corr_edges, rules_of(), tickers))
             assert np.allclose(a_hat, a_hat.T, atol=1e-15)
             assert np.all(a_hat >= 0.0)
             eigenvalues = np.linalg.eigvalsh(a_hat)
@@ -356,3 +356,22 @@ class TestPipeline:
         assert [(a, b) for a, b, _, _ in records] == [("A", "B"), ("A", "C")]
         assert records[0][3] == "both"
         assert records[1][3] == "corr"
+
+
+class TestGraphConfig:
+    @pytest.mark.parametrize("key, bad", [
+        ("corr_threshold", 0.0), ("corr_threshold", 1.0), ("corr_threshold", 1.5),
+        ("min_support", 0.0), ("min_support", 1.5),
+        ("min_confidence", 0.0), ("min_confidence", 5.0),
+        ("min_lift", 0.0), ("min_lift", -1.0),
+        ("move_threshold", -0.001),
+        ("lift_cap", 0.0), ("lift_cap", -1.0),
+        ("lift_cap", math.nan),
+    ])
+    def test_out_of_range_value_names_its_key(self, key, bad):
+        with pytest.raises(ValueError) as info:
+            GraphConfig(**{key: bad})
+        assert str(info.value).startswith(f"{key} must "), str(info.value)
+
+    def test_range_edges_accepted(self):
+        GraphConfig(min_support=1.0, min_confidence=1.0, move_threshold=0.0)
