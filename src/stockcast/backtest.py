@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import date
@@ -54,7 +55,6 @@ class PlanStep:
 
 @dataclass(eq=False)
 class WindowPlan:
-    base_train_days: int
     test_dates: list[date]
     steps: list[PlanStep]
 
@@ -83,7 +83,6 @@ class FailedStep:
 @dataclass(eq=False)
 class BacktestReport:
     kind: str
-    tickers: list[str]
     per_day: list[tuple[date, float]]
     per_stock: list[tuple[str, float]]
     summary_mse: float
@@ -137,11 +136,7 @@ def expanding_schedule(
         )
         for k in range(test_count)
     ]
-    return WindowPlan(
-        base_train_days=base_train_days,
-        test_dates=list(dates[first_test:]),
-        steps=steps,
-    )
+    return WindowPlan(test_dates=list(dates[first_test:]), steps=steps)
 
 
 def mse(predictions: Sequence[float], actuals: Sequence[float]) -> float:
@@ -244,6 +239,38 @@ def run_step(
     return prediction, actual, result.params
 
 
+def _scored_step(*args) -> tuple[np.ndarray, np.ndarray]:
+    return run_step(*args)[:2]  # the trained parameters are read only by a warm start
+
+
+def _report(spec: ModelSpec, panel: PricePanel, plan: WindowPlan, run) -> BacktestReport:
+    """Fold one spec's steps, in step order, into its report. `run(spec, step,
+    carried)` returns a step's scaled prediction, actual closes and trained
+    parameters, or raises what the step raised; `carried` holds the
+    parameters of the last step scored."""
+    per_day: list[tuple[date, float]] = []
+    failed: list[FailedStep] = []
+    sq_sums = np.zeros(panel.n_stocks)
+    carried = None
+    for step in plan.steps:
+        try:
+            prediction, actual, params = run(spec, step, carried)
+        except STEP_ERRORS as exc:
+            # drop the traceback so a failed step does not keep its frames alive
+            failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
+            continue
+        carried = params
+        sq = (prediction - actual) ** 2
+        sq_sums += sq
+        per_day.append((step.test_date, float(sq.mean())))
+
+    summary = float(np.mean([m for _, m in per_day])) if per_day else math.nan
+    per_stock = [(t, float(sq_sums[j] / len(per_day)) if per_day else math.nan)
+                 for j, t in enumerate(panel.tickers)]
+    return BacktestReport(kind=spec.kind, per_day=per_day, per_stock=per_stock,
+                          summary_mse=summary, failed=failed)
+
+
 def run_backtest(
     spec: ModelSpec,
     panel: PricePanel,
@@ -265,64 +292,7 @@ def run_backtest(
     worker processes, one per available CPU up to the step count. BLAS runs
     on one thread on both paths, so the results do not depend on the CPUs.
     """
-    per_day: list[tuple[date, float]] = []
-    failed: list[FailedStep] = []
-    sq_sums = np.zeros(panel.n_stocks)
-    n_scored = 0
-    carried = None
-    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-
-    with ExitStack() as stack:
-        # the BLAS thread count moves the last bits of a step's results, so
-        # every step runs on one BLAS thread, in a worker or not
-        blas_threads = _set_blas_threads(1)
-        if blas_threads is not None:
-            stack.callback(_set_blas_threads, blas_threads)
-        pool = None if warm_start else _fork_pool(min(n_cpus, plan.n_steps))
-        if pool is not None:
-            stack.callback(pool.shutdown, cancel_futures=True)
-            outcomes = [
-                pool.submit(run_step, spec, panel, graph_config, step,
-                            step_seed(base_seed, step.index)).result
-                for step in plan.steps
-            ]
-        else:
-            outcomes = [
-                lambda step=step: run_step(spec, panel, graph_config, step,
-                                           step_seed(base_seed, step.index), carried)
-                for step in plan.steps
-            ]
-
-        for step, outcome in zip(plan.steps, outcomes):
-            try:
-                prediction, actual, params = outcome()
-            except STEP_ERRORS as exc:
-                # drop the traceback so a failed step does not keep its frames alive
-                failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
-                continue
-            if warm_start:
-                carried = params
-
-            sq = (prediction - actual) ** 2
-            sq_sums += sq
-            n_scored += 1
-            per_day.append((step.test_date, float(sq.mean())))
-
-    summary = float(np.mean([m for _, m in per_day])) if per_day else math.nan
-    per_stock = (
-        [(t, float(sq_sums[j] / n_scored)) for j, t in enumerate(panel.tickers)]
-        if n_scored
-        else [(t, math.nan) for t in panel.tickers]
-    )
-    return BacktestReport(
-        kind=spec.kind,
-        tickers=list(panel.tickers),
-        per_day=per_day,
-        per_stock=per_stock,
-        summary_mse=summary,
-        failed=failed,
-    )
+    return compare_models([spec], panel, graph_config, plan, base_seed, warm_start)[0][1]
 
 
 def grid_search(
@@ -337,36 +307,33 @@ def grid_search(
     MSE ascending; ties and failed cells order by the axis values.
 
     Each cell trains `template` with those three settings of `template.train`
-    replaced and every other setting kept.
+    replaced and every other setting kept; all cells run in one
+    `compare_models` call.
 
-    A cell fails when its backtest raises, when any step failed for a reason
-    other than a diverged loss, or when no step was scored, so no cell ranks
-    on the fewer test days its data could support.
+    A cell fails when its model kind rejects its settings, when any step
+    failed for a reason other than a diverged loss, or when no step was
+    scored, so no cell ranks on the fewer test days its data could support.
+    Any other error ends the sweep.
     """
     cells: list[GridCell] = []
+    specs: list[ModelSpec] = []
     for lr, lookback, epochs in product(space.learning_rates, space.lookbacks, space.epoch_caps):
         cfg = replace(template.train, learning_rate=lr, lookback=lookback, epochs=epochs)
-        cell_spec = replace(template, train=cfg)
         try:
-            report = run_backtest(cell_spec, panel, graph_config, plan, base_seed)
-        except StockcastError:  # a cell the config cannot support must not kill the sweep
-            cell_failed = True
-        else:
-            cell_failed = not math.isfinite(report.summary_mse) or any(
-                not isinstance(f.error, DivergedLossError) for f in report.failed
-            )
-        mean = None if cell_failed else report.summary_mse
-        cells.append(GridCell(lr, lookback, epochs, mean, cell_failed))
+            specs.append(replace(template, train=cfg))
+        except ValueError:  # e.g. a cnn1d lookback shorter than its kernel
+            cells.append(GridCell(lr, lookback, epochs, None, True))
 
-    cells.sort(
-        key=lambda c: (
-            c.failed,
-            c.mean_mse if c.mean_mse is not None else math.inf,
-            c.learning_rate,
-            c.lookback,
-            c.epochs,
-        )
-    )
+    reports = compare_models(specs, panel, graph_config, plan, base_seed) if specs else []
+    for spec, report in reports:
+        cell_failed = not math.isfinite(report.summary_mse) or any(
+            not isinstance(f.error, DivergedLossError) for f in report.failed)
+        cfg = spec.train
+        cells.append(GridCell(cfg.learning_rate, cfg.lookback, cfg.epochs,
+                              None if cell_failed else report.summary_mse, cell_failed))
+
+    cells.sort(key=lambda c: (c.failed, math.inf if c.mean_mse is None else c.mean_mse,
+                              c.learning_rate, c.lookback, c.epochs))
     for rank, cell in enumerate(cells, start=1):
         cell.rank = rank
     return cells
@@ -380,11 +347,35 @@ def compare_models(
     base_seed: int = 0,
     warm_start: bool = False,
 ) -> list[tuple[ModelSpec, BacktestReport]]:
-    """Run one or more specs through identical plans and seeds, in given order."""
+    """Run one or more specs through identical plans and seeds, in given
+    order, each as `run_backtest` does; without warm start, the steps of all
+    specs share one pool of workers, one per available CPU up to their count."""
     if not specs:
         raise ValueError("compare_models needs at least 1 spec")
-    return [
-        (spec, run_backtest(spec, panel, graph_config, plan, base_seed,
-                            warm_start=warm_start))
-        for spec in specs
-    ]
+    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+
+    with ExitStack() as stack:
+        # the BLAS thread count moves the last bits of a step's results, so
+        # every step runs on one BLAS thread, in a worker or not
+        blas_threads = _set_blas_threads(1)
+        if blas_threads is not None:
+            stack.callback(_set_blas_threads, blas_threads)
+        pool = None if warm_start else _fork_pool(min(n_cpus, len(specs) * plan.n_steps))
+        if pool is None:
+            def run(spec, step, carried):
+                return run_step(spec, panel, graph_config, step, step_seed(base_seed, step.index),
+                                carried if warm_start else None)
+        else:
+            stack.callback(pool.shutdown, cancel_futures=True)
+            # submitted in the order the folds read them, each dropped once read
+            futures = deque(
+                pool.submit(_scored_step, spec, panel, graph_config, step,
+                            step_seed(base_seed, step.index))
+                for spec in specs for step in plan.steps
+            )
+
+            def run(spec, step, carried):
+                return *futures.popleft().result(), None
+
+        return [(spec, _report(spec, panel, plan, run)) for spec in specs]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
@@ -155,7 +156,7 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
             values = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise MalformedRowError(f"{ticker} line {lineno}: {exc}") from None
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
             raise MalformedRowError(f"{ticker} line {lineno}: non-finite value")
         if day in seen:
             raise DuplicateDateError(f"{ticker}: duplicate date {day.isoformat()}")

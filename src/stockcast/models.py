@@ -59,7 +59,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.lookback < 1:
             raise ValueError(f"lookback must be >= 1, got {self.lookback}")
@@ -71,7 +71,7 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0.0:
+        if not self.min_delta >= 0.0:
             raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
@@ -102,6 +102,9 @@ class ModelSpec:
         for name in ("fusion_hidden", "dense_hidden"):
             if any(w < 1 for w in getattr(self, name)):
                 raise ValueError(f"{name} widths must be >= 1")
+        if self.kind == "cnn1d" and self.train.lookback < self.cnn_kernel:
+            raise ValueError(f"lookback must be >= cnn_kernel {self.cnn_kernel} for cnn1d, "
+                             f"got {self.train.lookback}")
 
 
 @dataclass

@@ -230,7 +230,7 @@ class TestRunBacktest:
 class TestParallelWalk:
     @pytest.fixture
     def cpus(self, monkeypatch):
-        """Set the CPU count run_backtest sees and count the pools it creates."""
+        """Set the CPU count the walk sees and count the pools it creates."""
         pools = []
         real_pool = concurrent.futures.ProcessPoolExecutor
 
@@ -283,6 +283,29 @@ class TestParallelWalk:
             failures.append([(f.index, f.test_date, f.reason) for f in report.failed])
         assert failures[1] == failures[0]
         assert failures[0][0][1] == plan.test_dates[0]
+
+    def test_one_pool_per_comparison_and_grid(self, cpus):
+        panel = lead_lag_panel(44, seed=15)
+        plan = expanding_schedule(panel.dates, 30, 3)
+        cfg = TrainConfig(lookback=4, epochs=2, dropout=0.0)
+        specs = [ModelSpec("dense", dense_hidden=(3,), train=cfg), linreg_spec(lookback=4)]
+        space = GridSpace([0.01, 0.02], [3, 4], [10])
+        template = ModelSpec("dense", dense_hidden=(3,), train=cfg)
+        results = []
+        for n_cpus, n_pools in ((1, 0), (2, 1)):
+            pools = cpus(n_cpus)
+            rows = compare_models(specs, panel, GraphConfig(), plan, base_seed=3)
+            assert len(pools) == n_pools
+            pools.clear()
+            cells = grid_search(space, template, panel, GraphConfig(), plan, base_seed=3)
+            assert len(pools) == n_pools
+            results.append((
+                [(r.per_day, r.per_stock, [f.reason for f in r.failed]) for _, r in rows],
+                [(c.learning_rate, c.lookback, c.epochs, c.mean_mse, c.rank) for c in cells],
+            ))
+        inline, pooled = results
+        assert all(len(per_day) == 3 for per_day, _, _ in inline[0])
+        assert pooled == inline
 
     def test_warm_start_never_creates_a_pool(self, cpus):
         pools = cpus(2)
@@ -369,14 +392,15 @@ class TestGridSearch:
         assert [(c.lookback, c.failed, c.rank) for c in cells] == [(3, False, 1), (2, True, 2)]
 
     def test_programming_error_in_a_cell_propagates(self, monkeypatch):
-        def broken_train(*args, **kwargs):
-            raise TypeError("broken cell")
-
-        monkeypatch.setattr(backtest, "train", broken_train)
         panel, plan = self.make_inputs()
         space = GridSpace([0.005], [3], [10])
-        with pytest.raises(TypeError, match="broken cell"):
-            grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+        for error in (TypeError, ShapeMismatchError):
+            def broken_train(*args, **kwargs):
+                raise error("broken cell")
+
+            monkeypatch.setattr(backtest, "train", broken_train)
+            with pytest.raises(error, match="broken cell"):
+                grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -72,9 +72,11 @@ BAD_VALUES = [
     ("fusion_hidden", "0"),
     ("dense_hidden", "4,0"),
     ("learning_rate", "0"),
+    ("learning_rate", "nan"),
     ("dropout", "1.0"),
     ("val_fraction", "1.0"),
     ("min_delta", "-0.001"),
+    ("min_delta", "nan"),
     ("models", "hybrid,svm"),
     ("corr_threshold", "1.5"),
     ("min_support", "0"),
@@ -269,6 +271,15 @@ class TestBacktest:
         code = main([*backtest_args(data_dir, out), "--set", "learning_rate=0"])
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_cnn_lookback_below_kernel_rejected_before_work(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = [a if a != "models=linreg" else "models=cnn1d" for a in
+                backtest_args(data_dir, out)]
+        code = main([*args, "--set", "lookback=2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: lookback: ")
         assert not out.exists() or not any(out.iterdir())
 
     def test_compare_mode_writes_all_models(self, data_dir, tmp_path):

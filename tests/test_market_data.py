@@ -75,6 +75,14 @@ class TestParseOhlcv:
         with pytest.raises(MalformedRowError, match="header"):
             parse_ohlcv_csv("date,open,close\n2005-01-03,1,1\n", "AAPL")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, value):
+        # a NaN or infinite close passes the positive-price check, so only the
+        # finiteness check stops it
+        content = csv_for(["2005-01-03,1,1,1,1,1,10", f"2005-01-04,1,1,1,{value},1,10"])
+        with pytest.raises(MalformedRowError, match="AAPL line 3: non-finite value"):
+            parse_ohlcv_csv(content, "AAPL")
+
     def test_negative_volume_rejected(self):
         with pytest.raises(MalformedRowError):
             parse_ohlcv_csv(csv_for(["2005-01-03,1,1,1,1,1,-10"]), "AAPL")
