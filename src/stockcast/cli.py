@@ -37,7 +37,7 @@ from .market_data import (
 )
 # apriori_frequent has no caller here; bench/test_bench.py reads cli.apriori_frequent
 # to check that its tracer restores a function bound by name in another module
-from .relation_graph import apriori_frequent, build_graph, edge_records  # noqa: F401
+from .relation_graph import apriori_frequent, build_graph  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,9 +78,9 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
     if cfg.start_date or cfg.end_date:
         start = date.fromisoformat(cfg.start_date) if cfg.start_date else panel.dates[0]
         end = date.fromisoformat(cfg.end_date) if cfg.end_date else panel.dates[-1]
-        panel = panel.window(DateRange(start, end))
-    if panel.n_days == 0:
-        raise DataFileError("date range excludes every panel day")
+        # a one-sided range can lie wholly past the panel's other end
+        if start > end or (panel := panel.window(DateRange(start, end))).n_days == 0:
+            raise DataFileError("date range excludes every panel day")
     return series, panel
 
 
@@ -130,7 +130,7 @@ def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
     _write_csv(
         out_dir / "graph_edges.csv",
         ("ticker_a", "ticker_b", "weight", "provenance"),
-        [(a, b, _fmt(w), p) for a, b, w, p in edge_records(graph)],
+        [(a, b, _fmt(w), p) for a, b, w, p in graph.edges],
     )
     _write_csv(
         out_dir / "assoc_rules.csv",
@@ -151,7 +151,7 @@ def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
         cfg,
         "graph",
         {
-            "n_corr_edges": sum("corr" in e.sources for e in graph.edges.values()),
+            "n_corr_edges": sum(p != "assoc" for *_, p in graph.edges),
             "n_rules": len(graph.rules.rules),
             "n_edges": len(graph.edges),
         },

@@ -126,7 +126,7 @@ def validate_config(cfg: RunConfig) -> None:
     configured kind runs their checks. Only keys that exist in RunConfig
     alone, and its tighter epoch bounds, are checked here.
     """
-    _check(bool(cfg.tickers), "tickers", "must not be empty")
+    _check(len(cfg.tickers) >= 2, "tickers", f"needs at least 2, got {len(cfg.tickers)}")
     _check(len(set(cfg.tickers)) == len(cfg.tickers), "tickers", "contains duplicates")
     for name in ("start_date", "end_date"):
         value = getattr(cfg, name)
@@ -135,6 +135,9 @@ def validate_config(cfg: RunConfig) -> None:
                 date.fromisoformat(value)
             except ValueError:
                 raise ConfigError(f"{name}: not an ISO date: {value!r}") from None
+    if cfg.start_date and cfg.end_date:
+        _check(date.fromisoformat(cfg.end_date) >= date.fromisoformat(cfg.start_date), "end_date",
+               f"{cfg.end_date} is before start_date {cfg.start_date}")
     _checked_build(cfg.to_graph_config)
     _check(bool(cfg.models), "models", "must not be empty")
     _check(cfg.batch_size >= 0, "batch_size", "must be >= 0 (0 = full batch)")
@@ -156,26 +159,21 @@ def validate_config(cfg: RunConfig) -> None:
     _check(cfg.seed >= 0, "seed", "must be >= 0")
 
 
-_LIST_STR = {"tickers", "models"}
-_LIST_INT = {"fusion_hidden", "dense_hidden", "grid_lookbacks", "grid_epochs"}
-_LIST_FLOAT = {"grid_learning_rates"}
 _DEFAULTS = RunConfig()
 
 
 def _coerce(name: str, value: Any) -> Any:
     """Coerce a raw (file or flag) value to the field's declared type.
 
-    Command-line list values arrive as comma-separated strings.
+    Command-line list values arrive as comma-separated strings; a list's
+    items take the type of its default's items.
     """
+    default = getattr(_DEFAULTS, name)
     try:
-        if name in _LIST_STR or name in _LIST_INT or name in _LIST_FLOAT:
+        if isinstance(default, list):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
-            if name in _LIST_STR:
-                return [str(v) for v in value]
-            cast = int if name in _LIST_INT else float
-            return [cast(v) for v in value]
-        default = getattr(_DEFAULTS, name)
+            return [type(default[0])(v) for v in value]
         if isinstance(default, bool):
             if isinstance(value, bool):
                 return value

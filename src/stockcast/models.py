@@ -377,33 +377,22 @@ def _fusion_head(
     return add(matmul(h, params["head.w"]), params["head.b"])
 
 
-def _temporal_embeddings(
-    windows: Tensor, spec: ModelSpec, params, training: bool, rng
+def _recurrent_batch(
+    windows: Tensor, a_hat, spec: ModelSpec, params, training: bool, rng
 ) -> Tensor:
-    """Per-stock LSTM embeddings for batched windows (B, L, N) -> (B, N, H)."""
+    """lstm and hybrid: per-stock LSTM embeddings (B, N, H), joined in the
+    hybrid by their graph convolution, read by the fusion head."""
     n_batch, length, n_stocks = windows.shape
     # one scalar sequence per (sample, stock); the LSTM weights are shared
     seq = reshape(swapaxes(windows, 1, 2), (n_batch * n_stocks, length, 1))
     h = lstm_stack(
         seq, _layer_triples(params, spec.lstm_layers), spec.train.dropout, training, rng
     )
-    return reshape(h, (n_batch, n_stocks, spec.hidden_size))
-
-
-def _hybrid_batch(
-    windows: Tensor, a_hat, spec: ModelSpec, params, training: bool, rng
-) -> Tensor:
-    temporal = _temporal_embeddings(windows, spec, params, training, rng)
-    relational = gcn_forward(temporal, a_hat, params, spec.train.dropout, training, rng)
-    fused = concat(temporal, relational, axis=-1)
-    out = _fusion_head(fused, params, len(spec.fusion_hidden))
-    return reshape(out, (windows.shape[0], windows.shape[2]))
-
-
-def _lstm_batch(windows: Tensor, spec: ModelSpec, params, training: bool, rng) -> Tensor:
-    temporal = _temporal_embeddings(windows, spec, params, training, rng)
-    out = _fusion_head(temporal, params, len(spec.fusion_hidden))
-    return reshape(out, (windows.shape[0], windows.shape[2]))
+    h = reshape(h, (n_batch, n_stocks, spec.hidden_size))
+    if spec.kind == "hybrid":
+        h = concat(h, gcn_forward(h, a_hat, params, spec.train.dropout, training, rng), axis=-1)
+    out = _fusion_head(h, params, len(spec.fusion_hidden))
+    return reshape(out, (n_batch, n_stocks))
 
 
 def _dense_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
@@ -440,12 +429,10 @@ def model_forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Batched dispatch: (B, L, N) windows -> (B, N) predictions."""
-    if spec.kind == "hybrid":
-        if a_hat is None:
-            raise ValueError("hybrid model needs a normalized adjacency")
-        return _hybrid_batch(windows, a_hat, spec, params, training, rng)
-    if spec.kind == "lstm":
-        return _lstm_batch(windows, spec, params, training, rng)
+    if spec.kind == "hybrid" and a_hat is None:
+        raise ValueError("hybrid model needs a normalized adjacency")
+    if spec.kind in ("hybrid", "lstm"):
+        return _recurrent_batch(windows, a_hat, spec, params, training, rng)
     if spec.kind == "dense":
         return _dense_batch(windows, spec, params)
     if spec.kind == "cnn1d":

@@ -37,10 +37,11 @@ class CorrMatrix:
 
 @dataclass(eq=False)
 class TransactionDB:
-    """One item set per trading day; a ticker contributes (ticker, UP) when its
-    return exceeds the move threshold, (ticker, DOWN) below its negative, else nothing."""
+    """One row per trading day, one column per item: present[d, k] is True
+    when day d's transaction holds items[k]."""
 
-    transactions: list[frozenset[Item]]
+    items: list[Item]
+    present: np.ndarray  # (days, len(items)) bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,16 +58,12 @@ class RuleSet:
     rules: list[Rule]
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEdge:
-    weight: float
-    sources: frozenset[str]  # subset of {"corr", "assoc"}
-
-
 @dataclass(eq=False)
 class StockGraph:
     tickers: list[str]
-    edges: dict[tuple[str, str], GraphEdge]  # keys are lexicographically ordered pairs
+    # sorted (ticker_a, ticker_b, weight, provenance) rows with ticker_a < ticker_b;
+    # provenance is corr, assoc, or both
+    edges: list[tuple[str, str, float, str]]
     rules: RuleSet  # the mined rules behind the assoc edges
 
 
@@ -131,20 +128,17 @@ def correlation_edges(corr: CorrMatrix, tau: float = 0.7) -> dict[tuple[str, str
 
 
 def co_movement_transactions(returns: ReturnPanel, move_threshold: float = 0.001) -> TransactionDB:
-    """One transaction per day: signed direction items for tickers that moved
-    more than move_threshold in magnitude."""
+    """One transaction per day: a ticker contributes (ticker, UP) when its
+    return exceeds move_threshold, (ticker, DOWN) when it is below its
+    negative, else nothing."""
     if move_threshold < 0:
         raise ValueError(f"move_threshold must be >= 0, got {move_threshold}")
-    transactions: list[frozenset[Item]] = []
-    for day in returns.returns:
-        items: set[Item] = set()
-        for ticker, r in zip(returns.tickers, day):
-            if r > move_threshold:
-                items.add((ticker, UP))
-            elif r < -move_threshold:
-                items.add((ticker, DOWN))
-        transactions.append(frozenset(items))
-    return TransactionDB(transactions=transactions)
+    block = returns.returns
+    present = np.empty((block.shape[0], 2 * block.shape[1]), dtype=bool)
+    np.greater(block, move_threshold, out=present[:, 0::2])
+    np.less(block, -move_threshold, out=present[:, 1::2])
+    items = [(ticker, move) for ticker in returns.tickers for move in (UP, DOWN)]
+    return TransactionDB(items=items, present=present)
 
 
 def apriori_frequent(
@@ -159,10 +153,9 @@ def apriori_frequent(
     """
     if not 0.0 < min_support <= 1.0:
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
-    transactions = txdb.transactions
-    if not transactions:
+    n = txdb.present.shape[0]
+    if n == 0:
         raise EmptyDatabaseError("no transactions to mine")
-    n = len(transactions)
     frequent: dict[frozenset[Item], float] = {}
 
     def keep(
@@ -178,9 +171,9 @@ def apriori_frequent(
 
     # an itemset's tidset marks the transactions that contain it; keys are
     # sorted item tuples, generated in sorted order at every level
-    items = sorted({item for tx in transactions for item in tx})
+    items = txdb.items
     level = keep(
-        ((item,), np.fromiter((item in tx for tx in transactions), bool, n)) for item in items
+        ((items[k],), txdb.present[:, k]) for k in sorted(range(len(items)), key=items.__getitem__)
     )
     while level:
         prev, keys = level, list(level)
@@ -228,10 +221,6 @@ def mine_rules(
     return RuleSet(rules=rules)
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 def assemble_graph(
     corr_edges: Mapping[tuple[str, str], float],
     rules: RuleSet,
@@ -241,33 +230,47 @@ def assemble_graph(
     """Merge correlation and rule evidence into one weighted undirected graph.
 
     Rule edges connect every cross pair of antecedent and consequent tickers
-    at weight min(1, lift / lift_cap); when both sources propose a pair the
-    weights merge by maximum and the provenance flags union.
+    at weight min(1, lift / lift_cap). Each source keeps the largest weight
+    it proposes for a pair; an edge weighs the larger of its two sources and
+    is labeled with every source that proposed it. Self-pairs get no edge.
     """
-    known = set(tickers)
-    edges: dict[tuple[str, str], GraphEdge] = {}
+    n = len(tickers)
+    index = {t: i for i, t in enumerate(tickers)}
 
-    def put(a: str, b: str, weight: float, source: str) -> None:
-        if a not in known or b not in known:
-            raise UnknownTickerError(f"edge ({a}, {b}) references unknown ticker")
-        if a == b:
-            return  # self-edges are forbidden
-        key = _pair_key(a, b)
-        old = edges.get(key)
-        if old is None:
-            edges[key] = GraphEdge(weight, frozenset({source}))
-        else:
-            edges[key] = GraphEdge(max(old.weight, weight), old.sources | {source})
+    def columns(names: Iterable[str]) -> list[int]:
+        try:
+            return [index[name] for name in names]
+        except KeyError as exc:
+            raise UnknownTickerError(f"edge references unknown ticker {exc.args[0]!r}") from None
 
-    for (a, b), strength in corr_edges.items():
-        put(a, b, strength, "corr")
+    def ticker_mask(sides: list[frozenset[Item]]) -> np.ndarray:
+        """(len(sides), N) bool: the tickers each rule side names."""
+        mask = np.zeros((len(sides), n), dtype=bool)
+        owner = np.repeat(np.arange(len(sides)), [len(side) for side in sides])
+        mask[owner, columns(ticker for side in sides for ticker, _ in side)] = True
+        return mask
 
-    for rule in rules.rules:
-        weight = min(1.0, rule.lift / lift_cap)
-        for item_a in rule.antecedent:
-            for item_b in rule.consequent:
-                put(item_a[0], item_b[0], weight, "assoc")
+    corr = np.zeros((n, n))
+    corr[columns(a for a, _ in corr_edges), columns(b for _, b in corr_edges)] = list(
+        corr_edges.values())
 
+    assoc = np.zeros((n, n))
+    weights = np.minimum(1.0, np.array([rule.lift for rule in rules.rules]) / lift_cap)
+    antecedents = ticker_mask([rule.antecedent for rule in rules.rules])
+    consequents = ticker_mask([rule.consequent for rule in rules.rules])
+    for i in range(n):
+        hit = antecedents[:, i]
+        assoc[i] = np.where(consequents[hit], weights[hit, None], 0.0).max(axis=0, initial=0.0)
+
+    corr = np.maximum(corr, corr.T)
+    assoc = np.maximum(assoc, assoc.T)
+    weight = np.maximum(corr, assoc)
+    source = np.triu((corr > 0) + 2 * (assoc > 0), 1)
+    labels = ("", "corr", "assoc", "both")  # indexed by source
+    edges = sorted(
+        (*sorted((tickers[i], tickers[j])), float(weight[i, j]), labels[source[i, j]])
+        for i, j in zip(*np.nonzero(source))
+    )
     return StockGraph(tickers=list(tickers), edges=edges, rules=rules)
 
 
@@ -277,9 +280,8 @@ def normalized_adjacency(graph: StockGraph) -> np.ndarray:
     n = len(graph.tickers)
     index = {t: i for i, t in enumerate(graph.tickers)}
     a = np.eye(n)
-    for (u, v), edge in graph.edges.items():
-        a[index[u], index[v]] = edge.weight
-        a[index[v], index[u]] = edge.weight
+    for u, v, weight, _ in graph.edges:
+        a[index[u], index[v]] = a[index[v], index[u]] = weight
     degree = a.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(degree)
     return a * np.outer(inv_sqrt, inv_sqrt)
@@ -293,13 +295,3 @@ def build_graph(returns: ReturnPanel, config: GraphConfig = GraphConfig()) -> St
     frequents = apriori_frequent(txdb, config.min_support)
     rules = mine_rules(frequents, config.min_confidence, config.min_lift)
     return assemble_graph(corr_e, rules, returns.tickers, config.lift_cap)
-
-
-def edge_records(graph: StockGraph) -> list[tuple[str, str, float, str]]:
-    """Sorted (ticker_a, ticker_b, weight, provenance) rows; provenance is
-    corr, assoc, or both."""
-    rows = []
-    for (a, b), edge in sorted(graph.edges.items()):
-        provenance = "both" if len(edge.sources) == 2 else next(iter(edge.sources))
-        rows.append((a, b, edge.weight, provenance))
-    return rows

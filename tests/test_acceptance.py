@@ -52,6 +52,7 @@ from test_relation_graph import (
     random_txdb,
     returns_panel,
     rules_of,
+    transactions_of,
 )
 
 GRAD_CHECK_SEEDS = 20
@@ -165,7 +166,7 @@ class TestAprioriOracle:
             txdb = random_txdb(rng, max_items=6, max_tx=50)
             min_support = float(rng.choice([0.1, 0.2, 0.3, 0.5]))
             fast = apriori_frequent(txdb, min_support)
-            assert fast == brute_force_frequents(txdb.transactions, min_support)
+            assert fast == brute_force_frequents(transactions_of(txdb), min_support)
 
             ruleset = mine_rules(fast, min_confidence=0.4, min_lift=1.7)
             expected = brute_force_rules(fast, min_confidence=0.4, min_lift=1.7)

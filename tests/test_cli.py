@@ -59,7 +59,7 @@ def count_calls(monkeypatch, fn):
 
 
 # one bad value for each key whose range check lives in TrainConfig,
-# ModelSpec or GraphConfig, plus one key RunConfig checks itself
+# ModelSpec or GraphConfig, plus keys RunConfig checks itself
 BAD_VALUES = [
     ("hidden_size", "0"),
     ("lstm_layers", "0"),
@@ -85,6 +85,7 @@ BAD_VALUES = [
     ("move_threshold", "-0.001"),
     ("lift_cap", "0"),
     ("batch_size", "-1"),
+    ("tickers", "S00"),
 ]
 
 
@@ -129,9 +130,16 @@ class TestConfig:
             load_config(None, {"epochs": "0"})
 
     def test_list_coercion(self):
-        cfg = load_config(None, {"grid_learning_rates": "0.1,0.2", "fusion_hidden": "8,4"})
+        cfg = load_config(None, {"grid_learning_rates": "0.1,0.2", "fusion_hidden": "8,4",
+                                 "models": "hybrid,lstm"})
         assert cfg.grid_learning_rates == [0.1, 0.2]
         assert cfg.fusion_hidden == [8, 4]
+        assert cfg.models == ["hybrid", "lstm"]
+
+    def test_end_date_before_start_date_rejected(self):
+        with pytest.raises(ConfigError, match="^end_date: "):
+            load_config(None, {"start_date": "2020-02-01", "end_date": "2020-01-31"})
+        load_config(None, {"start_date": "2020-02-01", "end_date": "2020-02-01"})
 
     def test_bool_coercion(self):
         assert load_config(None, {"warm_start": "true"}).warm_start is True
@@ -181,6 +189,12 @@ class TestIngest:
         assert code == 3
         assert "MISSING" in capsys.readouterr().err
         assert not (out / "panel_summary.csv").exists()
+
+    def test_one_sided_range_past_the_panel_is_a_data_error(self, data_dir, tmp_path, capsys):
+        for bound in ("start_date=2030-01-01", "end_date=1990-01-01"):
+            code = main(["ingest", *base_args(data_dir, tmp_path / "out"), "--set", bound])
+            assert code == 3, bound
+            assert "date range excludes every panel day" in capsys.readouterr().err
 
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)

@@ -22,7 +22,6 @@ from stockcast.relation_graph import (
     build_graph,
     co_movement_transactions,
     correlation_edges,
-    edge_records,
     mine_rules,
     normalized_adjacency,
     pearson_matrix,
@@ -36,6 +35,19 @@ def returns_panel(returns: np.ndarray, tickers=None) -> ReturnPanel:
     if tickers is None:
         tickers = [f"S{j}" for j in range(returns.shape[1])]
     return ReturnPanel(tickers=list(tickers), dates=weekdays(returns.shape[0]), returns=returns)
+
+
+def txdb_of(transactions) -> TransactionDB:
+    """The database holding `transactions`, one column per item they name."""
+    items = sorted({item for tx in transactions for item in tx})
+    present = np.array([[item in tx for item in items] for tx in transactions], dtype=bool)
+    return TransactionDB(items=items, present=present.reshape(len(transactions), len(items)))
+
+
+def transactions_of(txdb: TransactionDB) -> list[frozenset]:
+    """Each day's item set, read back from the database's columns."""
+    return [frozenset(item for item, held in zip(txdb.items, row) if held)
+            for row in txdb.present]
 
 
 def pearson_oracle(x: np.ndarray, y: np.ndarray) -> float:
@@ -131,17 +143,34 @@ class TestTransactions:
     def test_direction_items(self):
         panel = returns_panel(np.array([[0.01, 0.02, -0.01]]), tickers=["S1", "S2", "S3"])
         txdb = co_movement_transactions(panel, move_threshold=0.001)
-        assert txdb.transactions == [frozenset({("S1", UP), ("S2", UP), ("S3", DOWN)})]
+        assert transactions_of(txdb) == [frozenset({("S1", UP), ("S2", UP), ("S3", DOWN)})]
 
     def test_below_threshold_empty(self):
         panel = returns_panel(np.array([[0.0005, -0.0002]]))
         txdb = co_movement_transactions(panel, move_threshold=0.001)
-        assert txdb.transactions == [frozenset()]
+        assert transactions_of(txdb) == [frozenset()]
 
     def test_zero_threshold_takes_every_nonzero(self):
         panel = returns_panel(np.array([[0.0001, 0.0, -1e-9]]))
         txdb = co_movement_transactions(panel, move_threshold=0.0)
-        assert txdb.transactions == [frozenset({("S0", UP), ("S2", DOWN)})]
+        assert transactions_of(txdb) == [frozenset({("S0", UP), ("S2", DOWN)})]
+
+    def test_matches_per_day_loop(self, rng):
+        for move_threshold in (0.0, 0.001, 0.01):
+            block = rng.normal(0, 0.01, size=(40, 4))
+            block[rng.random(block.shape) < 0.15] = move_threshold
+            block[rng.random(block.shape) < 0.15] = -move_threshold
+            panel = returns_panel(block)
+            want = []
+            for day in block:
+                items = set()
+                for ticker, r in zip(panel.tickers, day):
+                    if r > move_threshold:
+                        items.add((ticker, UP))
+                    elif r < -move_threshold:
+                        items.add((ticker, DOWN))
+                want.append(frozenset(items))
+            assert transactions_of(co_movement_transactions(panel, move_threshold)) == want
 
 
 def brute_force_frequents(transactions, min_support):
@@ -182,20 +211,18 @@ def random_txdb(rng, max_items=6, max_tx=50) -> TransactionDB:
     for _ in range(n_tx):
         mask = rng.random(n_items) < rng.uniform(0.2, 0.8)
         transactions.append(frozenset(item for item, keep in zip(universe, mask) if keep))
-    return TransactionDB(transactions=transactions)
+    return txdb_of(transactions)
 
 
 class TestApriori:
     def test_pair_support_by_hand(self):
         a, b, c = ("A", UP), ("B", UP), ("C", DOWN)
-        txdb = TransactionDB(
-            transactions=[
-                frozenset({a, b}),
-                frozenset({a, b, c}),
-                frozenset({a}),
-                frozenset({c}),
-            ]
-        )
+        txdb = txdb_of([
+            frozenset({a, b}),
+            frozenset({a, b, c}),
+            frozenset({a}),
+            frozenset({c}),
+        ])
         freq = apriori_frequent(txdb, min_support=0.5)
         assert freq[frozenset({a, b})] == 0.5
 
@@ -209,13 +236,13 @@ class TestApriori:
 
     def test_full_support_excludes_partial_item(self):
         a, b = ("A", UP), ("B", UP)
-        txdb = TransactionDB(transactions=[frozenset({a, b}), frozenset({a})])
+        txdb = txdb_of([frozenset({a, b}), frozenset({a})])
         freq = apriori_frequent(txdb, min_support=1.0)
         assert frozenset({a}) in freq and frozenset({b}) not in freq
 
     def test_empty_database(self):
         with pytest.raises(EmptyDatabaseError):
-            apriori_frequent(TransactionDB(transactions=[]), 0.5)
+            apriori_frequent(txdb_of([]), 0.5)
 
     def test_matches_brute_force(self, rng):
         # 30 small databases, then a few with up to 10 items and 200 transactions
@@ -223,8 +250,12 @@ class TestApriori:
             txdb = random_txdb(rng, max_items, max_tx)
             min_support = float(rng.choice([0.1, 0.25, 0.5]))
             fast = apriori_frequent(txdb, min_support)
-            slow = brute_force_frequents(txdb.transactions, min_support)
+            slow = brute_force_frequents(transactions_of(txdb), min_support)
             assert fast == slow
+            # the columns are mined in sorted item order, whatever their order in the database
+            perm = rng.permutation(len(txdb.items))
+            shuffled = TransactionDB([txdb.items[k] for k in perm], txdb.present[:, perm])
+            assert list(apriori_frequent(shuffled, min_support).items()) == list(fast.items())
 
 
 class TestMineRules:
@@ -276,20 +307,18 @@ class TestAssembleGraph:
         corr_edges = {("A", "B"): 0.8}
         ruleset = rules_of(([("A", UP)], [("B", UP)], 2.4))
         graph = assemble_graph(corr_edges, ruleset, ["A", "B"], lift_cap=3.0)
-        edge = graph.edges[("A", "B")]
-        assert edge.weight == pytest.approx(0.8)
-        assert edge.sources == frozenset({"corr", "assoc"})
+        assert graph.edges == [("A", "B", pytest.approx(0.8), "both")]
         assert graph.rules is ruleset  # the rules behind the assoc edges stay with the graph
 
     def test_no_edges_gives_isolated_vertices(self):
         graph = assemble_graph({}, rules_of(), ["A", "B", "C"])
-        assert graph.edges == {}
+        assert graph.edges == []
         assert graph.tickers == ["A", "B", "C"]
 
     def test_same_ticker_rule_adds_no_edge(self):
         ruleset = rules_of(([("A", UP)], [("A", DOWN)], 2.5))
         graph = assemble_graph({}, ruleset, ["A", "B"])
-        assert graph.edges == {}
+        assert graph.edges == []
 
     def test_unknown_ticker(self):
         with pytest.raises(UnknownTickerError):
@@ -300,13 +329,46 @@ class TestAssembleGraph:
     def test_lift_weight_capped_at_one(self):
         ruleset = rules_of(([("A", UP)], [("B", UP)], 9.0))
         graph = assemble_graph({}, ruleset, ["A", "B"], lift_cap=3.0)
-        assert graph.edges[("A", "B")].weight == 1.0
+        assert graph.edges == [("A", "B", 1.0, "assoc")]
 
     def test_weights_in_unit_interval(self, rng):
         ruleset = rules_of(([("A", UP)], [("B", DOWN)], 1.8), ([("B", UP)], [("C", UP)], 2.9))
         graph = assemble_graph({("A", "C"): 0.72}, ruleset, ["A", "B", "C"])
-        for edge in graph.edges.values():
-            assert 0.0 < edge.weight <= 1.0
+        for _, _, weight, _ in graph.edges:
+            assert 0.0 < weight <= 1.0
+
+    def test_matches_per_pair_merge(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            tickers = [f"T{k}" for k in rng.permutation(n)]  # index order is not name order
+            corr_edges = {
+                (a, b) if rng.random() < 0.5 else (b, a): float(rng.uniform(0.7, 1.0))
+                for a, b in combinations(tickers, 2) if rng.random() < 0.3
+            }
+            ruleset = rules_of(*[
+                ([(t, UP) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
+                 [(t, DOWN) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
+                 float(rng.uniform(1.7, 4.0)))
+                for _ in range(int(rng.integers(0, 8)))
+            ])
+            # reference: merge each proposed pair into a dict, one pair at a time
+            merged: dict[tuple[str, str], tuple[float, set]] = {}
+
+            def put(a, b, weight, source):
+                if a != b:
+                    key = (min(a, b), max(a, b))
+                    old, sources = merged.get(key, (0.0, set()))
+                    merged[key] = (max(old, weight), sources | {source})
+
+            for (a, b), strength in corr_edges.items():
+                put(a, b, strength, "corr")
+            for rule in ruleset.rules:
+                for a, _ in rule.antecedent:
+                    for b, _ in rule.consequent:
+                        put(a, b, min(1.0, rule.lift / 3.0), "assoc")
+            want = [(a, b, weight, "both" if len(sources) == 2 else sources.pop())
+                    for (a, b), (weight, sources) in sorted(merged.items())]
+            assert assemble_graph(corr_edges, ruleset, tickers, lift_cap=3.0).edges == want
 
 
 class TestNormalizedAdjacency:
@@ -346,13 +408,13 @@ class TestPipeline:
         closes = 100 * np.cumprod(1 + np.vstack([np.zeros(3), returns]), axis=0)
         panel = make_panel(closes, tickers=["A", "B", "C"])
         graph = build_graph(daily_returns(panel), GraphConfig())
-        assert ("A", "B") in graph.edges
+        assert ("A", "B") in [(a, b) for a, b, _, _ in graph.edges]
 
     def test_edge_records_sorted_and_labeled(self):
         corr_edges = {("B", "A"): 0.9, ("C", "A"): 0.8}
         ruleset = rules_of(([("A", UP)], [("B", UP)], 2.4))
         graph = assemble_graph(corr_edges, ruleset, ["A", "B", "C"])
-        records = edge_records(graph)
+        records = graph.edges
         assert [(a, b) for a, b, _, _ in records] == [("A", "B"), ("A", "C")]
         assert records[0][3] == "both"
         assert records[1][3] == "corr"
