@@ -25,7 +25,9 @@ from .backtest import (
     grid_search,
 )
 from .config import RunConfig, load_config, manifest_lines
-from .errors import ConfigError, DataFileError, MarketDataError, ModelError, StockcastError
+from .errors import (
+    ConfigError, DataFileError, MarketDataError, ModelError, PanelTooShortError, StockcastError,
+)
 from .market_data import (
     DateRange,
     PricePanel,
@@ -86,6 +88,8 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
 
 def cmd_ingest(cfg: RunConfig, out_dir: Path) -> None:
     series, panel = _load_inputs(cfg)
+    if panel.n_days < 2:  # one close per ticker has no range to normalize by
+        raise PanelTooShortError(f"need >= 2 dates, panel has {panel.n_days}")
 
     _write_csv(
         out_dir / "panel_summary.csv",

@@ -162,6 +162,14 @@ def validate_config(cfg: RunConfig) -> None:
 _DEFAULTS = RunConfig()
 
 
+def _to_int(value: Any) -> int:
+    """int(value), refusing a bool and a number with a fractional part,
+    which int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
 def _coerce(name: str, value: Any) -> Any:
     """Coerce a raw (file or flag) value to the field's declared type.
 
@@ -173,7 +181,8 @@ def _coerce(name: str, value: Any) -> Any:
         if isinstance(default, list):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
-            return [type(default[0])(v) for v in value]
+            item = _to_int if isinstance(default[0], int) else type(default[0])
+            return [item(v) for v in value]
         if isinstance(default, bool):
             if isinstance(value, bool):
                 return value
@@ -184,7 +193,7 @@ def _coerce(name: str, value: Any) -> Any:
                 return False
             raise ValueError("expected a boolean")
         if isinstance(default, int):
-            return int(value)
+            return _to_int(value)
         if isinstance(default, float):
             return float(value)
         return str(value)

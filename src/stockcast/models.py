@@ -141,6 +141,12 @@ class EarlyStopper:
 
 # -- fused LSTM stack --------------------------------------------------------
 
+# Cache budget of one time step of the recurrence on one column block: the
+# (4H, n) gate block plus about eight (H, n) state and temporary blocks of
+# float64, so 12 * H * 8 bytes per column (n = 512 at H = 32).
+_LSTM_BLOCK_BYTES = 3 * 2**19
+
+
 def lstm_stack(
     x: Tensor,
     layer_params: list[tuple[Tensor, Tensor, Tensor]],
@@ -157,6 +163,15 @@ def lstm_stack(
     transposed (feature, batch) blocks so every kernel touches contiguous
     memory; this op dominates training time, which is why it is hand-fused
     rather than composed from primitive tape ops.
+
+    The sequences are independent, so the batch runs through every layer in
+    column blocks of at most `_LSTM_BLOCK_BYTES // (96 * H)` sequences. Each
+    time step makes about a dozen elementwise passes over its blocks; on the
+    whole batch of a full-batch fit (4,400 sequences, 4.5 MB gate blocks at
+    H = 32) every pass would go to memory, on a block it stays in the L2
+    cache. The dropout masks are drawn for the whole batch, in layer order,
+    before the first block, and the backward sums the weight gradients of
+    all blocks.
     """
     if not layer_params:
         raise ShapeMismatchError("lstm_stack needs at least one layer")
@@ -173,106 +188,120 @@ def lstm_stack(
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
 
-    # time-major, feature-by-batch blocks: inp[t] is (d, B) and contiguous
-    inp = np.ascontiguousarray(x.data.transpose(1, 2, 0))
-    caches = []
-    masks: list[np.ndarray | None] = []
-    for layer, (wx, wh, b) in enumerate(layer_params):
-        wxT = np.ascontiguousarray(wx.data.T)  # (4H, d)
-        whT = np.ascontiguousarray(wh.data.T)  # (4H, H)
-        bias = b.data[:, None]
-        gates = np.empty((length, 4 * H, n_batch))
-        cs = np.empty((length, H, n_batch))
-        tcs = np.empty((length, H, n_batch))
-        hs = np.empty((length, H, n_batch))
-        for t in range(length):
-            z = gates[t]
-            np.matmul(wxT, inp[t], out=z)
-            if t > 0:
-                z += whT @ hs[t - 1]
-            z += bias
-            zs = z[: 3 * H]  # sigmoid gates, computed as 0.5 * (tanh(z/2) + 1)
-            np.multiply(zs, 0.5, out=zs)
-            np.tanh(zs, out=zs)
-            zs += 1.0
-            np.multiply(zs, 0.5, out=zs)
-            zg = z[3 * H :]  # candidate
-            np.tanh(zg, out=zg)
+    weights = [
+        (np.ascontiguousarray(wx.data.T), np.ascontiguousarray(wh.data.T), b.data[:, None])
+        for wx, wh, b in layer_params
+    ]  # (4H, d), (4H, H), (4H, 1)
+    masks: list[np.ndarray | None] = [None] * (n_layers - 1)
+    if training and dropout_rate > 0.0:
+        masks = [(rng.random((length, H, n_batch)) >= dropout_rate) / (1.0 - dropout_rate)
+                 for _ in masks]
+    width = max(1, _LSTM_BLOCK_BYTES // (96 * H))
+    blocks = []  # (columns, per-layer caches) of each column block
+    h_last = np.empty((n_batch, H))
+    for lo in range(0, n_batch, width):
+        cols = slice(lo, lo + width)
+        # time-major, feature-by-batch blocks: inp[t] is (d, n) and contiguous
+        inp = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
+        n = inp.shape[2]
+        caches = []
+        for layer, (wxT, whT, bias) in enumerate(weights):
+            gates = np.empty((length, 4 * H, n))
+            cs = np.empty((length, H, n))
+            tcs = np.empty((length, H, n))
+            hs = np.empty((length, H, n))
+            for t in range(length):
+                z = gates[t]
+                if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
+                    np.multiply(wxT, inp[t], out=z)
+                else:
+                    np.matmul(wxT, inp[t], out=z)
+                if t > 0:
+                    z += whT @ hs[t - 1]
+                z += bias
+                zs = z[: 3 * H]  # sigmoid gates, computed as 0.5 * (tanh(z/2) + 1)
+                np.multiply(zs, 0.5, out=zs)
+                np.tanh(zs, out=zs)
+                zs += 1.0
+                np.multiply(zs, 0.5, out=zs)
+                zg = z[3 * H :]  # candidate
+                np.tanh(zg, out=zg)
 
-            i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-            c = cs[t]
-            if t > 0:
-                np.multiply(f, cs[t - 1], out=c)
-                c += i * g
-            else:
-                np.multiply(i, g, out=c)
-            np.tanh(c, out=tcs[t])
-            np.multiply(o, tcs[t], out=hs[t])
-        caches.append((inp, wxT, gates, cs, tcs, hs))
-        if layer < n_layers - 1:
-            if training and dropout_rate > 0.0:
-                mask = (rng.random(hs.shape) >= dropout_rate) / (1.0 - dropout_rate)
-                masks.append(mask)
-                inp = hs * mask
-            else:
-                masks.append(None)
-                inp = hs
-    h_last = np.ascontiguousarray(hs[length - 1].T)  # (B, H)
+                i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+                c = cs[t]
+                if t > 0:
+                    np.multiply(f, cs[t - 1], out=c)
+                    c += i * g
+                else:
+                    np.multiply(i, g, out=c)
+                np.tanh(c, out=tcs[t])
+                np.multiply(o, tcs[t], out=hs[t])
+            caches.append((inp, gates, cs, tcs, hs))
+            if layer < n_layers - 1:
+                inp = hs if masks[layer] is None else hs * masks[layer][:, :, cols]
+        h_last[cols] = hs[length - 1].T
+        blocks.append((cols, caches))
 
     def bw(grad: np.ndarray) -> None:
-        upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
-        for layer in range(n_layers - 1, -1, -1):
-            inp_l, wxT, gates, cs, tcs, hs_l = caches[layer]
-            wx, wh, b = layer_params[layer]
-            d = inp_l.shape[1]
-            dwxT = np.zeros_like(wxT)
-            dwhT = np.zeros((4 * H, H))
-            db = np.zeros(4 * H)
-            need_dx = layer > 0 or x.requires_grad
-            dx_seq = np.empty((length, d, n_batch)) if need_dx else None
-            dz = np.empty((4 * H, n_batch))
-            dc = np.zeros((H, n_batch))
-            dh_carry: np.ndarray | None = None
-            for t in range(length - 1, -1, -1):
-                z = gates[t]
-                i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-                tc = tcs[t]
-                if layer == n_layers - 1:
-                    # the stack only exposes the last hidden state
-                    dh = grad.T if t == length - 1 else dh_carry
-                else:
-                    dh = upper_dx[t]
-                    if masks[layer] is not None:
-                        dh = dh * masks[layer][t]
-                    if dh_carry is not None:
-                        dh = dh + dh_carry
-                do = dh * tc
-                dc += dh * (o * (1.0 - tc * tc))
-                dz[:H] = (dc * g) * (i * (1.0 - i))
-                if t > 0:
-                    dz[H : 2 * H] = (dc * cs[t - 1]) * (f * (1.0 - f))
-                else:
-                    dz[H : 2 * H] = 0.0  # initial cell state is a constant
-                dz[2 * H : 3 * H] = do * (o * (1.0 - o))
-                dz[3 * H :] = (dc * i) * (1.0 - g * g)
+        dw = [(np.zeros_like(wxT), np.zeros((4 * H, H)), np.zeros(4 * H))
+              for wxT, _, _ in weights]  # (dwxT, dwhT, db) summed over blocks
+        dx = np.empty(x.shape) if x.requires_grad else None
+        for cols, caches in blocks:
+            upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
+            for layer in range(n_layers - 1, -1, -1):
+                inp_l, gates, cs, tcs, hs_l = caches[layer]
+                wx, wh, _ = layer_params[layer]
+                dwxT, dwhT, db = dw[layer]
+                d, n = inp_l.shape[1:]
+                mask = None if layer == n_layers - 1 else masks[layer]
+                need_dx = layer > 0 or x.requires_grad
+                dx_seq = np.empty((length, d, n)) if need_dx else None
+                dz = np.empty((4 * H, n))
+                dc = np.zeros((H, n))
+                dh_carry: np.ndarray | None = None
+                for t in range(length - 1, -1, -1):
+                    z = gates[t]
+                    i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+                    tc = tcs[t]
+                    if layer == n_layers - 1:
+                        # the stack only exposes the last hidden state
+                        dh = grad[cols].T if t == length - 1 else dh_carry
+                    else:
+                        dh = upper_dx[t]
+                        if mask is not None:
+                            dh = dh * mask[t][:, cols]
+                        if dh_carry is not None:
+                            dh = dh + dh_carry
+                    do = dh * tc
+                    dc += dh * (o * (1.0 - tc * tc))
+                    dz[:H] = (dc * g) * (i * (1.0 - i))
+                    if t > 0:
+                        dz[H : 2 * H] = (dc * cs[t - 1]) * (f * (1.0 - f))
+                    else:
+                        dz[H : 2 * H] = 0.0  # initial cell state is a constant
+                    dz[2 * H : 3 * H] = do * (o * (1.0 - o))
+                    dz[3 * H :] = (dc * i) * (1.0 - g * g)
 
-                if t > 0:
-                    dwhT += dz @ hs_l[t - 1].T
-                    dh_carry = wh.data @ dz
-                dwxT += dz @ inp_l[t].T
-                db += dz.sum(axis=1)
-                if need_dx:
-                    np.matmul(wx.data, dz, out=dx_seq[t])
-                dc *= f
+                    if t > 0:
+                        dwhT += dz @ hs_l[t - 1].T
+                        dh_carry = wh.data @ dz
+                    dwxT += dz @ inp_l[t].T
+                    db += dz.sum(axis=1)
+                    if need_dx:
+                        np.matmul(wx.data, dz, out=dx_seq[t])
+                    dc *= f
+                upper_dx = dx_seq
+            if dx is not None:
+                dx[cols] = upper_dx.transpose(2, 0, 1)
+        for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())
             if wh.requires_grad:
                 wh.add_grad(dwhT.T.copy())
             if b.requires_grad:
                 b.add_grad(db)
-            upper_dx = dx_seq
-        if x.requires_grad:
-            x.add_grad(np.ascontiguousarray(upper_dx.transpose(2, 0, 1)))
+        if dx is not None:
+            x.add_grad(dx)
 
     parents = (x, *(t for triple in layer_params for t in triple))
     return Tensor._from_op(h_last, parents, bw)

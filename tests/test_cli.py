@@ -136,6 +136,22 @@ class TestConfig:
         assert cfg.fusion_hidden == [8, 4]
         assert cfg.models == ["hybrid", "lstm"]
 
+    def test_int_keys_refuse_non_integral_numbers(self, tmp_path, data_dir, capsys):
+        for raw in ({"lookback": 7.9}, {"fusion_hidden": [8.5]}, {"grid_epochs": [10.7]},
+                    {"seed": True}, {"grid_lookbacks": [11, False]}, {"hidden_size": "inf"}):
+            key = next(iter(raw))
+            with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
+                load_config(None, raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epochs": 40.5}))
+        assert main(["ingest", *base_args(data_dir, tmp_path / "out"), "--config", str(path)]) == 2
+        assert "epochs: cannot parse" in capsys.readouterr().err
+        cfg = load_config(None, {"lookback": 7.0, "seed": "7", "fusion_hidden": [8.0, 4],
+                                 "grid_epochs": ["10", 20.0]})
+        assert (cfg.lookback, cfg.seed) == (7, 7)
+        assert (cfg.fusion_hidden, cfg.grid_epochs) == ([8, 4], [10, 20])
+        assert all(type(v) is int for v in (cfg.lookback, *cfg.fusion_hidden, *cfg.grid_epochs))
+
     def test_end_date_before_start_date_rejected(self):
         with pytest.raises(ConfigError, match="^end_date: "):
             load_config(None, {"start_date": "2020-02-01", "end_date": "2020-01-31"})
@@ -195,6 +211,15 @@ class TestIngest:
             code = main(["ingest", *base_args(data_dir, tmp_path / "out"), "--set", bound])
             assert code == 3, bound
             assert "date range excludes every panel day" in capsys.readouterr().err
+
+    def test_one_day_window_names_the_short_panel(self, data_dir, tmp_path, capsys):
+        last_day = random_walk_panel(3, 60, seed=21).dates[-1].isoformat()
+        for command in ("ingest", "graph"):
+            out = tmp_path / command
+            code = main([command, *base_args(data_dir, out), "--set", f"start_date={last_day}"])
+            assert code == 3, command
+            assert "need >= 2 dates, panel has 1" in capsys.readouterr().err, command
+            assert not out.exists() or not any(out.iterdir()), command
 
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)

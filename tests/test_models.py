@@ -10,6 +10,7 @@ from stockcast.errors import (
     ModelError,
     ShapeMismatchError,
 )
+from stockcast import models
 from stockcast.market_data import WindowDataset
 from stockcast.models import (
     EarlyStopper,
@@ -153,6 +154,60 @@ class TestLstm:
             rng=np.random.Generator(np.random.PCG64(0)),
         )
         assert not np.allclose(eval_out.data, train_out.data)
+
+
+class TestLstmColumnBlocks:
+    """lstm_stack runs the batch in column blocks; any split must give the
+    result of one block over the whole batch."""
+
+    def make(self, rng, n_batch, d=1, hidden=4, length=5):
+        shapes = {"lstm0.wx": (d, 4 * hidden), "lstm0.wh": (hidden, 4 * hidden),
+                  "lstm0.b": (4 * hidden,), "lstm1.wx": (hidden, 4 * hidden),
+                  "lstm1.wh": (hidden, 4 * hidden), "lstm1.b": (4 * hidden,),
+                  "x": (n_batch, length, d)}
+        params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        return params, rng.normal(size=(n_batch, hidden))
+
+    def loss(self, monkeypatch, width, params, target, dropout_rate):
+        """MSE of the stack's output, run in blocks of `width` sequences, with
+        dropout masks drawn from a generator reseeded on every call; returns the
+        loss and that generator."""
+        hidden = params["lstm0.wh"].shape[0]
+        # the block budget holds 12 float64 rows of `hidden` per column
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * 8 * hidden)
+        triples = [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
+                   for k in range(2)]
+        masks = np.random.Generator(np.random.PCG64(7))
+        h = lstm_stack(params["x"], triples, dropout_rate, dropout_rate > 0, masks)
+        return mse_loss(h, Tensor(target)), masks
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_any_split_matches_one_block(self, monkeypatch, rng, d):
+        # 37 sequences in blocks of 16 are three blocks, the last one ragged;
+        # a batch of 10 or of 1 fits in one block
+        for n_batch in (37, 10, 1):
+            params, target = self.make(rng, n_batch, d)
+            for rate in (0.0, 0.5):
+                runs = []
+                for width in (n_batch, 16):
+                    loss, masks = self.loss(monkeypatch, width, params, target, rate)
+                    grads = {k: g.copy() for k, g in backward(loss, params).items()}
+                    runs.append((loss.item(), grads, masks.random()))
+                (loss_one, grads_one, next_one), (loss_blk, grads_blk, next_blk) = runs
+                assert loss_blk == pytest.approx(loss_one, rel=1e-12, abs=0)
+                for name in params:
+                    np.testing.assert_allclose(grads_blk[name], grads_one[name], rtol=1e-12,
+                                               atol=1e-15, err_msg=f"{name} B={n_batch}")
+                # the masks are the same draws: the stream after them is too
+                assert next_blk == next_one
+
+    def test_gradients_across_blocks_match_finite_differences(self, monkeypatch, rng):
+        params, target = self.make(rng, 37)
+        err = gradient_check(
+            lambda p: self.loss(monkeypatch, 16, p, target, 0.5)[0], params, max_coords=24
+        )
+        assert err < 1e-4
 
 
 class TestGcn:
