@@ -10,7 +10,6 @@ from .backtest import (
     compare_models,
     expanding_schedule,
     grid_search,
-    mse,
     run_backtest,
 )
 from .market_data import (

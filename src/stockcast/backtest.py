@@ -26,7 +26,6 @@ from .errors import (
     DegenerateSeriesError,
     DivergedLossError,
     InsufficientHistoryError,
-    LengthMismatchError,
     ModelError,
     PanelTooShortError,
     SliceTooShortError,
@@ -137,16 +136,6 @@ def expanding_schedule(
         for k in range(test_count)
     ]
     return WindowPlan(test_dates=list(dates[first_test:]), steps=steps)
-
-
-def mse(predictions: Sequence[float], actuals: Sequence[float]) -> float:
-    """Mean of squared prediction errors."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    actuals = np.asarray(actuals, dtype=np.float64)
-    if predictions.shape != actuals.shape or predictions.ndim != 1 or predictions.size == 0:
-        raise LengthMismatchError(f"{predictions.shape} vs {actuals.shape}")
-    diff = predictions - actuals
-    return float((diff * diff).mean())
 
 
 def step_seed(base_seed: int, step_index: int) -> int:

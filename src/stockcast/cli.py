@@ -34,8 +34,10 @@ from .market_data import (
     RawSeries,
     align_panel,
     daily_returns,
+    fit_scaler,
     moving_average,
     parse_ohlcv_csv,
+    scale,
 )
 # apriori_frequent has no caller here; bench/test_bench.py reads cli.apriori_frequent
 # to check that its tracer restores a function bound by name in another module
@@ -90,31 +92,27 @@ def cmd_ingest(cfg: RunConfig, out_dir: Path) -> None:
     series, panel = _load_inputs(cfg)
     if panel.n_days < 2:  # one close per ticker has no range to normalize by
         raise PanelTooShortError(f"need >= 2 dates, panel has {panel.n_days}")
+    norm = scale(fit_scaler(panel, DateRange(panel.dates[0], panel.dates[-1])), panel)
 
     _write_csv(
         out_dir / "panel_summary.csv",
         ("ticker", "rows", "first_date", "last_date"),
         [
-            (s.ticker, len(s.rows), s.rows[0].date.isoformat(), s.rows[-1].date.isoformat())
+            (s.ticker, len(s.rows), s.dates[0].isoformat(), s.dates[-1].isoformat())
             for s in series
         ],
     )
 
     rows = []
     for j, ticker in enumerate(panel.tickers):
-        closes = panel.close[:, j]
-        lo, hi = closes.min(), closes.max()
-        if hi <= lo:
-            raise DataFileError(f"{ticker}: constant closes, cannot normalize")
-        norm = (closes - lo) / (hi - lo)
-        ma50 = moving_average(norm, MA_SHORT)
-        ma200 = moving_average(norm, MA_LONG)
+        ma50 = moving_average(norm[:, j], MA_SHORT)
+        ma200 = moving_average(norm[:, j], MA_LONG)
         for t, day in enumerate(panel.dates):
             rows.append(
                 (
                     day.isoformat(),
                     ticker,
-                    _fmt(norm[t]),
+                    _fmt(norm[t, j]),
                     _fmt(ma50[t]) if t >= MA_SHORT - 1 else "",
                     _fmt(ma200[t]) if t >= MA_LONG - 1 else "",
                 )
@@ -207,6 +205,8 @@ def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_gridsearch(cfg: RunConfig, out_dir: Path) -> None:
+    if len(cfg.models) != 1:
+        raise ConfigError(f"models: gridsearch tunes one model, got {len(cfg.models)}")
     _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     space = GridSpace(
@@ -299,6 +299,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg, out_dir)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (DataFileError, MarketDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -116,10 +116,6 @@ class InsufficientHistoryError(BacktestError):
     """Panel is shorter than base training window + test days."""
 
 
-class LengthMismatchError(BacktestError):
-    """Prediction and actual vectors differ in length."""
-
-
 # -- cli / config --------------------------------------------------------
 
 class ConfigError(StockcastError):

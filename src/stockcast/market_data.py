@@ -27,16 +27,7 @@ OHLCV_COLUMNS = ("date", "open", "high", "low", "close", "adj_close", "volume")
 
 PRICE_FIELDS = ("open", "high", "low", "close", "adj_close")
 
-
-@dataclass(frozen=True, slots=True)
-class OhlcvRow:
-    date: date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: float
+_CLOSE_COL = OHLCV_COLUMNS[1:].index("close")
 
 
 @dataclass(slots=True)
@@ -44,10 +35,8 @@ class RawSeries:
     """One ticker's daily bars, sorted ascending by date."""
 
     ticker: str
-    rows: list[OhlcvRow]
-
-    def dates(self) -> list[date]:
-        return [r.date for r in self.rows]
+    dates: list[date]
+    rows: np.ndarray  # (days, 6) float64, columns in OHLCV_COLUMNS[1:] order
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +49,6 @@ class DateRange:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError(f"empty date range: {self.start}..{self.end}")
-
-    def __contains__(self, day: date) -> bool:
-        return self.start <= day <= self.end
 
 
 @dataclass(eq=False)
@@ -142,7 +128,8 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
             f"{ticker}: bad header {header!r}, expected {','.join(OHLCV_COLUMNS)}"
         )
 
-    rows: list[OhlcvRow] = []
+    days: list[date] = []
+    rows: list[list[float]] = []
     seen: set[date] = set()
     for lineno, fields in enumerate(reader, start=2):
         if not fields:
@@ -161,18 +148,17 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
         if day in seen:
             raise DuplicateDateError(f"{ticker}: duplicate date {day.isoformat()}")
         seen.add(day)
-        row = OhlcvRow(day, *values)
-        for field in PRICE_FIELDS:
-            if getattr(row, field) <= 0:
-                raise NonPositivePriceError(
-                    f"{ticker} line {lineno}: {field} = {getattr(row, field)}"
-                )
-        if row.volume < 0:
+        for field, value in zip(PRICE_FIELDS, values):
+            if value <= 0:
+                raise NonPositivePriceError(f"{ticker} line {lineno}: {field} = {value}")
+        if values[-1] < 0:
             raise MalformedRowError(f"{ticker} line {lineno}: negative volume")
-        rows.append(row)
+        days.append(day)
+        rows.append(values)
 
-    rows.sort(key=lambda r: r.date)
-    return RawSeries(ticker=ticker, rows=rows)
+    order = sorted(range(len(days)), key=days.__getitem__)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(OHLCV_COLUMNS) - 1)
+    return RawSeries(ticker=ticker, dates=[days[i] for i in order], rows=table[order])
 
 
 def align_panel(series: Iterable[RawSeries]) -> PricePanel:
@@ -184,17 +170,17 @@ def align_panel(series: Iterable[RawSeries]) -> PricePanel:
     if len(set(tickers)) != len(tickers):
         raise ValueError(f"duplicate tickers: {tickers}")
 
-    common: set[date] = set(series[0].dates())
+    common: set[date] = set(series[0].dates)
     for s in series[1:]:
-        common &= set(s.dates())
+        common &= set(s.dates)
     if not common:
         raise EmptyIntersectionError("no common trading day across series")
     dates = sorted(common)
 
     close = np.empty((len(dates), len(series)), dtype=np.float64)
     for j, s in enumerate(series):
-        by_date = {r.date: r.close for r in s.rows}
-        close[:, j] = [by_date[d] for d in dates]
+        index = {d: i for i, d in enumerate(s.dates)}
+        close[:, j] = s.rows[[index[d] for d in dates], _CLOSE_COL]
     return PricePanel(tickers=tickers, dates=dates, close=close)
 
 

@@ -14,13 +14,11 @@ from stockcast.backtest import (
     compare_models,
     expanding_schedule,
     grid_search,
-    mse,
     run_backtest,
     step_seed,
 )
 from stockcast.errors import (
     InsufficientHistoryError,
-    LengthMismatchError,
     ShapeMismatchError,
     SliceTooShortError,
 )
@@ -76,23 +74,6 @@ class TestExpandingSchedule:
         dates = weekdays(40)
         plan = expanding_schedule(dates, 20, 10)
         assert plan.steps[0].train_start == dates[10]
-
-
-class TestMse:
-    def test_zero_when_equal(self):
-        assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_by_hand(self):
-        assert mse([1.0, 3.0], [0.0, 0.0]) == pytest.approx(5.0)
-
-    def test_single_prediction(self):
-        assert mse([0.52], [0.5]) == pytest.approx(4e-4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            mse([1.0, 2.0], [1.0])
-        with pytest.raises(LengthMismatchError):
-            mse([], [])
 
 
 def arithmetic_panel(n_days=40, n_stocks=3):

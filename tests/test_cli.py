@@ -226,6 +226,19 @@ class TestIngest:
         assert main(["ingest", *base_args(data_dir, tmp_path / "out")]) == 0
         assert sorted(ticker for _, ticker in calls) == ["S00", "S01", "S02"]
 
+    def test_constant_closes_write_nothing(self, tmp_path, capsys):
+        panel = random_walk_panel(3, 60, seed=21)
+        panel.close[:, 1] = 50.0
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        out = tmp_path / "out"
+        code = main(["ingest", *base_args(data, out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "constant closes" in err and "S01" in err
+        assert not (out / "panel_summary.csv").exists()
+        assert not (out / "ma_prices.csv").exists()
+
 
 class TestGraph:
     def test_rules_mined_once(self, data_dir, tmp_path, monkeypatch):
@@ -400,6 +413,16 @@ class TestGridsearch:
         assert len(rows) == 1 + 30
         assert {(r[3], r[5]) for r in rows[1:]} == {("", "failed")}
         assert "best=null" in (out / "run_manifest.txt").read_text().splitlines()
+
+    def test_more_than_one_model_is_a_config_error(self, data_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        out = tmp_path / "out"
+        code = main(["gridsearch", *base_args(data_dir, out), "--set", "models=linreg,dense"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: models:")
+        assert not (out / "grid_results.csv").exists()
+        assert calls == []  # refused before any data was read
 
     def test_unknown_set_key(self, data_dir, tmp_path, capsys):
         code = main(["gridsearch", *base_args(data_dir, tmp_path / "o"),

@@ -41,14 +41,8 @@ class TestParseOhlcv:
         series = parse_ohlcv_csv(csv_for(["2005-01-03,1.26,1.29,1.24,1.27,1.08,172998000"]), "AAPL")
         assert series.ticker == "AAPL"
         assert len(series.rows) == 1
-        row = series.rows[0]
-        assert row.date == date(2005, 1, 3)
-        assert row.open == 1.26
-        assert row.high == 1.29
-        assert row.low == 1.24
-        assert row.close == 1.27
-        assert row.adj_close == 1.08
-        assert row.volume == 172998000
+        assert series.dates == [date(2005, 1, 3)]
+        assert series.rows[0].tolist() == [1.26, 1.29, 1.24, 1.27, 1.08, 172998000]
 
     def test_duplicate_date_rejected(self):
         content = csv_for(
@@ -92,7 +86,8 @@ class TestParseOhlcv:
             ["2005-01-05,1,1,1,1,1,10", "2005-01-03,1,1,1,2,1,10", "2005-01-04,1,1,1,3,1,10"]
         )
         series = parse_ohlcv_csv(content, "AAPL")
-        assert [r.date.day for r in series.rows] == [3, 4, 5]
+        assert [d.day for d in series.dates] == [3, 4, 5]
+        assert series.rows[:, 3].tolist() == [2, 3, 1]  # closes move with their dates
 
     def test_accepts_bytes(self):
         series = parse_ohlcv_csv(csv_for(["2005-01-03,1,1,1,1,1,10"]).encode(), "A")
@@ -137,7 +132,7 @@ class TestAlignPanel:
         covered = set(panel.dates)
         for day in days:
             if day not in covered:
-                assert day not in set(a.dates()) or day not in set(b.dates())
+                assert day not in set(a.dates) or day not in set(b.dates)
 
 
 class TestDailyReturns:
