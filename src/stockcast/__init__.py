@@ -28,7 +28,7 @@ from .market_data import (
     parse_ohlcv_csv,
     scale,
 )
-from .models import EarlyStopper, ModelSpec, TrainConfig, load_model, save_model, train
+from .models import EarlyStopper, ModelSpec, TrainConfig, train
 from .relation_graph import (
     CorrMatrix,
     GraphConfig,

@@ -1,9 +1,11 @@
 """Command-line pipeline: ingest, graph, backtest, gridsearch.
 
 Every subcommand resolves one RunConfig (defaults < config file < --set
-overrides), validates it before touching any data, and writes plain CSV
-tables plus a run manifest into the output directory. Reruns with the same
-config and seed overwrite the outputs with byte-identical content.
+overrides), validates it before touching any data, and returns its plain
+CSV tables plus the extra fields of its run manifest. `main` writes them
+into the output directory only after the command has succeeded, so a
+refused command creates no output directory. Reruns with the same config
+and seed overwrite the outputs with byte-identical content.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training failure.
 """
@@ -17,13 +19,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .backtest import (
-    BacktestReport,
-    GridSpace,
-    compare_models,
-    expanding_schedule,
-    grid_search,
-)
+from .backtest import GridSpace, compare_models, expanding_schedule, grid_search
 from .config import RunConfig, load_config, manifest_lines
 from .errors import (
     ConfigError, DataFileError, MarketDataError, ModelError, PanelTooShortError, StockcastError,
@@ -51,6 +47,9 @@ EXIT_TRAIN = 4
 MA_SHORT = 50
 MA_LONG = 200
 
+# what a command returns: {file name: (header, rows)} and its manifest extras
+Outputs = tuple[dict[str, tuple[Sequence[str], list]], dict]
+
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
@@ -62,11 +61,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_manifest(out_dir: Path, cfg: RunConfig, command: str, extra=None) -> None:
-    text = "\n".join(manifest_lines(cfg, command, extra)) + "\n"
-    (out_dir / "run_manifest.txt").write_text(text)
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
@@ -88,21 +82,16 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
     return series, panel
 
 
-def cmd_ingest(cfg: RunConfig, out_dir: Path) -> None:
+def cmd_ingest(cfg: RunConfig) -> Outputs:
     series, panel = _load_inputs(cfg)
     if panel.n_days < 2:  # one close per ticker has no range to normalize by
         raise PanelTooShortError(f"need >= 2 dates, panel has {panel.n_days}")
     norm = scale(fit_scaler(panel, DateRange(panel.dates[0], panel.dates[-1])), panel)
 
-    _write_csv(
-        out_dir / "panel_summary.csv",
-        ("ticker", "rows", "first_date", "last_date"),
-        [
-            (s.ticker, len(s.rows), s.dates[0].isoformat(), s.dates[-1].isoformat())
-            for s in series
-        ],
-    )
-
+    summary = [
+        (s.ticker, len(s.rows), s.dates[0].isoformat(), s.dates[-1].isoformat())
+        for s in series
+    ]
     rows = []
     for j, ticker in enumerate(panel.tickers):
         ma50 = moving_average(norm[:, j], MA_SHORT)
@@ -117,68 +106,42 @@ def cmd_ingest(cfg: RunConfig, out_dir: Path) -> None:
                     _fmt(ma200[t]) if t >= MA_LONG - 1 else "",
                 )
             )
-    _write_csv(out_dir / "ma_prices.csv", ("date", "ticker", "norm_close", "ma50", "ma200"), rows)
-    _write_manifest(out_dir, cfg, "ingest", {"panel_days": panel.n_days})
+    return {
+        "panel_summary.csv": (("ticker", "rows", "first_date", "last_date"), summary),
+        "ma_prices.csv": (("date", "ticker", "norm_close", "ma50", "ma200"), rows),
+    }, {"panel_days": panel.n_days}
 
 
 def _items_label(items) -> str:
     return "|".join(f"{ticker}:{direction}" for ticker, direction in sorted(items))
 
 
-def cmd_graph(cfg: RunConfig, out_dir: Path) -> None:
+def cmd_graph(cfg: RunConfig) -> Outputs:
     _, panel = _load_inputs(cfg)
     graph = build_graph(daily_returns(panel), cfg.to_graph_config())
-
-    _write_csv(
-        out_dir / "graph_edges.csv",
-        ("ticker_a", "ticker_b", "weight", "provenance"),
-        [(a, b, _fmt(w), p) for a, b, w, p in graph.edges],
-    )
-    _write_csv(
-        out_dir / "assoc_rules.csv",
-        ("antecedent", "consequent", "support", "confidence", "lift"),
-        [
-            (
-                _items_label(r.antecedent),
-                _items_label(r.consequent),
-                _fmt(r.support),
-                _fmt(r.confidence),
-                _fmt(r.lift),
-            )
-            for r in graph.rules.rules
-        ],
-    )
-    _write_manifest(
-        out_dir,
-        cfg,
-        "graph",
-        {
-            "n_corr_edges": sum(p != "assoc" for *_, p in graph.edges),
-            "n_rules": len(graph.rules.rules),
-            "n_edges": len(graph.edges),
-        },
-    )
+    rules = [
+        (
+            _items_label(r.antecedent),
+            _items_label(r.consequent),
+            _fmt(r.support),
+            _fmt(r.confidence),
+            _fmt(r.lift),
+        )
+        for r in graph.rules.rules
+    ]
+    return {
+        "graph_edges.csv": (("ticker_a", "ticker_b", "weight", "provenance"),
+                            [(a, b, _fmt(w), p) for a, b, w, p in graph.edges]),
+        "assoc_rules.csv": (("antecedent", "consequent", "support", "confidence", "lift"),
+                            rules),
+    }, {
+        "n_corr_edges": sum(p != "assoc" for *_, p in graph.edges),
+        "n_rules": len(graph.rules.rules),
+        "n_edges": len(graph.edges),
+    }
 
 
-def _write_backtest_outputs(out_dir: Path, reports: list[BacktestReport]) -> None:
-    _write_csv(
-        out_dir / "per_day_mse.csv",
-        ("date", "mse"),
-        [(day.isoformat(), _fmt(value)) for day, value in reports[0].per_day],
-    )
-    _write_csv(
-        out_dir / "per_stock_mse.csv",
-        ("ticker", "model", "mse"),
-        [(ticker, r.kind, _fmt(value)) for r in reports for ticker, value in r.per_stock],
-    )
-    _write_csv(
-        out_dir / "model_comparison.csv",
-        ("model", "mean_mse"),
-        [(r.kind, _fmt(r.summary_mse)) for r in reports],
-    )
-
-
-def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
+def cmd_backtest(cfg: RunConfig) -> Outputs:
     _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     specs = [cfg.to_model_spec(kind) for kind in cfg.models]
@@ -191,22 +154,29 @@ def cmd_backtest(cfg: RunConfig, out_dir: Path) -> None:
         if not report.per_day:  # no step scored: fail with the first step's error
             raise report.failed[0].error
 
-    _write_backtest_outputs(out_dir, reports)
-    _write_manifest(
-        out_dir,
-        cfg,
-        "backtest",
-        {
-            "n_steps": plan.n_steps,
-            "excluded_steps": {r.kind: len(r.failed) for r in reports},
-            "mean_mse": {r.kind: r.summary_mse for r in reports},
-        },
-    )
+    return {
+        "per_day_mse.csv": (("date", "mse"),
+                            [(day.isoformat(), _fmt(value)) for day, value in reports[0].per_day]),
+        "per_stock_mse.csv": (("ticker", "model", "mse"),
+                              [(ticker, r.kind, _fmt(value))
+                               for r in reports for ticker, value in r.per_stock]),
+        "model_comparison.csv": (("model", "mean_mse"),
+                                 [(r.kind, _fmt(r.summary_mse)) for r in reports]),
+    }, {
+        "n_steps": plan.n_steps,
+        "excluded_steps": {r.kind: len(r.failed) for r in reports},
+        "mean_mse": {r.kind: r.summary_mse for r in reports},
+    }
 
 
-def cmd_gridsearch(cfg: RunConfig, out_dir: Path) -> None:
+def cmd_gridsearch(cfg: RunConfig) -> Outputs:
     if len(cfg.models) != 1:
         raise ConfigError(f"models: gridsearch tunes one model, got {len(cfg.models)}")
+    # checked here, not in validate_config: backtest never reads grid_lookbacks
+    short = [lb for lb in cfg.grid_lookbacks if cfg.base_train_days <= lb + 1]
+    if short:
+        raise ConfigError(f"grid_lookbacks: base_train_days {cfg.base_train_days} "
+                          f"must exceed lookback + 1 for {short}")
     _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     space = GridSpace(
@@ -216,34 +186,26 @@ def cmd_gridsearch(cfg: RunConfig, out_dir: Path) -> None:
     )
     template = cfg.to_model_spec(cfg.models[0])
     cells = grid_search(space, template, panel, cfg.to_graph_config(), plan, cfg.seed)
-
-    _write_csv(
-        out_dir / "grid_results.csv",
-        ("lr", "lookback", "epochs", "mean_mse", "rank", "status"),
-        [
-            (
-                _fmt(c.learning_rate),
-                c.lookback,
-                c.epochs,
-                "" if c.mean_mse is None else _fmt(c.mean_mse),
-                c.rank,
-                "failed" if c.failed else "ok",
-            )
-            for c in cells
-        ],
-    )
+    rows = [
+        (
+            _fmt(c.learning_rate),
+            c.lookback,
+            c.epochs,
+            "" if c.mean_mse is None else _fmt(c.mean_mse),
+            c.rank,
+            "failed" if c.failed else "ok",
+        )
+        for c in cells
+    ]
     best = next((c for c in cells if not c.failed), None)
-    _write_manifest(
-        out_dir,
-        cfg,
-        "gridsearch",
-        {
-            "n_cells": len(cells),
-            "best": None
-            if best is None
-            else {"lr": best.learning_rate, "lookback": best.lookback, "epochs": best.epochs},
-        },
-    )
+    return {
+        "grid_results.csv": (("lr", "lookback", "epochs", "mean_mse", "rank", "status"), rows),
+    }, {
+        "n_cells": len(cells),
+        "best": None
+        if best is None
+        else {"lr": best.learning_rate, "lookback": best.lookback, "epochs": best.epochs},
+    }
 
 
 COMMANDS = {
@@ -295,10 +257,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(cfg.out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, out_dir)
+        tables, extra = COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -311,6 +271,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StockcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    text = "\n".join(manifest_lines(cfg, args.command, extra)) + "\n"
+    (out_dir / "run_manifest.txt").write_text(text)
     return EXIT_OK
 
 

@@ -10,9 +10,8 @@ serve as baselines.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -34,7 +33,6 @@ from .autodiff import (
 from .errors import (
     DivergedLossError,
     EmptyDatasetError,
-    ModelError,
     ShapeMismatchError,
     SingularSystemError,
 )
@@ -42,8 +40,6 @@ from .market_data import WindowDataset
 from .optim import AdamState, adam_step
 
 MODEL_KINDS = ("hybrid", "lstm", "linreg", "dense", "cnn1d")
-
-SAVE_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -625,49 +621,3 @@ def predict(
     out = model_forward(x, spec, params, a_hat, training=False)
     return out.data[0].copy()
 
-
-# -- persistence -------------------------------------------------------------
-
-def save_model(path, spec: ModelSpec, params: Mapping[str, Tensor]) -> None:
-    """Write a trained model as a flat .npz of named arrays plus a JSON header."""
-    meta = {"format": SAVE_FORMAT_VERSION, "spec": asdict(spec)}
-    arrays = {name: p.data for name, p in params.items()}
-    np.savez(path, __meta__=np.asarray(json.dumps(meta, sort_keys=True)), **arrays)
-
-
-def load_model(path) -> tuple[ModelSpec, dict[str, Tensor]]:
-    with np.load(path) as bundle:
-        meta = json.loads(str(bundle["__meta__"]))
-        if meta["format"] != SAVE_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {meta['format']}")
-        raw = dict(meta["spec"])
-        raw["train"] = TrainConfig(**raw["train"])
-        raw["fusion_hidden"] = tuple(raw["fusion_hidden"])
-        raw["dense_hidden"] = tuple(raw["dense_hidden"])
-        spec = ModelSpec(**raw)
-        arrays = {name: bundle[name] for name in bundle.files if name != "__meta__"}
-    expected = _param_shapes(spec, arrays)
-    for name in sorted(expected.keys() | arrays.keys()):
-        if name not in arrays:
-            raise ModelError(f"{path}: missing array {name!r}")
-        if name not in expected:
-            raise ModelError(f"{path}: unexpected array {name!r} for a {spec.kind} model")
-        if arrays[name].shape != expected[name]:
-            raise ModelError(
-                f"{path}: array {name!r} has shape {arrays[name].shape}, expected {expected[name]}"
-            )
-    return spec, {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
-
-
-def _param_shapes(spec: ModelSpec, arrays: Mapping[str, np.ndarray]) -> dict[str, tuple]:
-    """Parameter shapes a model of `spec` has; the stock count, which only
-    dense and linreg parameters depend on, is read from their output arrays."""
-    lookback = spec.train.lookback
-    if spec.kind == "linreg":
-        coef = arrays.get("ols.coef")
-        n_stocks = coef.shape[0] if coef is not None and coef.ndim else 1
-        return {"ols.coef": (n_stocks, lookback + 1)}
-    out_b = arrays.get("out.b")
-    n_stocks = out_b.shape[0] if out_b is not None and out_b.ndim else 1
-    rng = np.random.Generator(np.random.PCG64(0))
-    return {name: p.shape for name, p in init_params(spec, n_stocks, lookback, rng).items()}

@@ -219,7 +219,7 @@ class TestIngest:
             code = main([command, *base_args(data_dir, out), "--set", f"start_date={last_day}"])
             assert code == 3, command
             assert "need >= 2 dates, panel has 1" in capsys.readouterr().err, command
-            assert not out.exists() or not any(out.iterdir()), command
+            assert not out.exists(), command
 
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
@@ -236,8 +236,7 @@ class TestIngest:
         assert code == 3
         err = capsys.readouterr().err
         assert "data error:" in err and "constant closes" in err and "S01" in err
-        assert not (out / "panel_summary.csv").exists()
-        assert not (out / "ma_prices.csv").exists()
+        assert not out.exists()
 
 
 class TestGraph:
@@ -323,7 +322,7 @@ class TestBacktest:
         code = main([*backtest_args(data_dir, out), "--set", "learning_rate=0"])
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_cnn_lookback_below_kernel_rejected_before_work(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -332,7 +331,7 @@ class TestBacktest:
         code = main([*args, "--set", "lookback=2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: lookback: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_compare_mode_writes_all_models(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -366,6 +365,12 @@ class TestBacktest:
         assert "data error: need >= 3 return days, got 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "per_day_mse.csv").exists()
 
+    def test_panel_shorter_than_the_plan_is_a_data_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["backtest", *base_args(data_dir, out)]) == 3
+        assert "error: panel has 60 dates, need 554" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_step_diverged_is_a_training_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         args = [a if a != "models=linreg" else "models=dense" for a in
@@ -398,21 +403,33 @@ class TestGridsearch:
         values = [float(r[3]) for r in rows[1:] if r[3] != ""]
         assert values == sorted(values)
 
-    def test_cell_with_a_too_short_step_fails(self, tmp_path):
-        # lookback 11 needs 12 training days, so the first steps of every cell
-        # fail; a cell must not rank on the later days alone
+    def short_grid_args(self, tmp_path):
         panel = lead_lag_panel(60, seed=3)
         data = tmp_path / "data"
         write_panel_csvs(panel, data)
+        return ["gridsearch", *base_args(data, tmp_path / "out", tickers=",".join(panel.tickers)),
+                "--set", "models=linreg", "--set", "base_train_days=3", "--set", "lookback=1"]
+
+    def test_cell_with_a_too_short_step_fails(self, tmp_path):
+        # step 0's 3-day window leaves linreg 2 samples, too few to fit, so
+        # every cell fails; a cell must not rank on the later days alone
         out = tmp_path / "out"
-        code = main(["gridsearch", *base_args(data, out, tickers=",".join(panel.tickers)),
-                     "--set", "models=linreg", "--set", "base_train_days=3",
-                     "--set", "lookback=1"])
+        code = main([*self.short_grid_args(tmp_path), "--set", "grid_lookbacks=1"])
         assert code == 0
         rows = read_csv(out / "grid_results.csv")
-        assert len(rows) == 1 + 30
+        assert len(rows) == 1 + 15
         assert {(r[3], r[5]) for r in rows[1:]} == {("", "failed")}
         assert "best=null" in (out / "run_manifest.txt").read_text().splitlines()
+
+    def test_grid_lookback_past_the_base_window_is_a_config_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        args = self.short_grid_args(tmp_path)
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: grid_lookbacks: base_train_days 3 must exceed lookback + 1 for [11, 21]")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_more_than_one_model_is_a_config_error(self, data_dir, tmp_path, capsys,
                                                    monkeypatch):
@@ -421,7 +438,7 @@ class TestGridsearch:
         code = main(["gridsearch", *base_args(data_dir, out), "--set", "models=linreg,dense"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: models:")
-        assert not (out / "grid_results.csv").exists()
+        assert not out.exists()
         assert calls == []  # refused before any data was read
 
     def test_unknown_set_key(self, data_dir, tmp_path, capsys):

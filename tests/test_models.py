@@ -7,7 +7,6 @@ from stockcast.autodiff import Tensor, backward, gradient_check, mse_loss, narro
 from stockcast.errors import (
     DivergedLossError,
     EmptyDatasetError,
-    ModelError,
     ShapeMismatchError,
 )
 from stockcast import models
@@ -19,11 +18,8 @@ from stockcast.models import (
     gcn_forward,
     init_params,
     linreg_fit,
-    load_model,
     lstm_stack,
     model_forward,
-    predict,
-    save_model,
     train,
 )
 
@@ -539,62 +535,3 @@ class TestTrain:
         last = result.history[-1][0]
         assert last < first * 0.2
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path, rng):
-        spec = tiny_spec("hybrid")
-        params = init_params(spec, 3, 4, rng)
-        path = tmp_path / "model.npz"
-        save_model(path, spec, params)
-        loaded_spec, loaded_params = load_model(path)
-        assert loaded_spec == spec
-        assert set(loaded_params) == set(params)
-        for name in params:
-            assert np.array_equal(loaded_params[name].data, params[name].data)
-
-    def test_predict_after_reload(self, tmp_path, rng):
-        spec = tiny_spec("dense")
-        ds = make_dataset(rng, n_samples=14)
-        result = train(spec, ds)
-        path = tmp_path / "m.npz"
-        save_model(path, spec, result.params)
-        spec2, params2 = load_model(path)
-        window = ds.inputs[0]
-        assert np.array_equal(
-            predict(spec, result.params, window), predict(spec2, params2, window)
-        )
-
-    @pytest.fixture
-    def saved_dense(self, tmp_path, rng):
-        spec = tiny_spec("dense")
-        arrays = {name: p.data for name, p in init_params(spec, 3, 4, rng).items()}
-        return spec, arrays, tmp_path / "m.npz"
-
-    def tamper(self, spec, arrays, path):
-        save_model(path, spec, {name: Tensor(a) for name, a in arrays.items()})
-        return path
-
-    def test_linreg_round_trip(self, tmp_path, rng):
-        spec = tiny_spec("linreg")
-        coef = rng.normal(size=(3, spec.train.lookback + 1))
-        path = self.tamper(spec, {"ols.coef": coef}, tmp_path / "m.npz")
-        _, params = load_model(path)
-        assert np.array_equal(params["ols.coef"].data, coef)
-
-    def test_missing_array_is_rejected(self, saved_dense):
-        spec, arrays, path = saved_dense
-        del arrays["dense1.w"]
-        with pytest.raises(ModelError, match="missing array 'dense1.w'"):
-            load_model(self.tamper(spec, arrays, path))
-
-    def test_extra_array_is_rejected(self, saved_dense):
-        spec, arrays, path = saved_dense
-        arrays["dense9.w"] = np.zeros((2, 2))
-        with pytest.raises(ModelError, match="unexpected array 'dense9.w'"):
-            load_model(self.tamper(spec, arrays, path))
-
-    def test_misshapen_array_is_rejected(self, saved_dense):
-        spec, arrays, path = saved_dense
-        arrays["dense0.w"] = arrays["dense0.w"][:-1]  # one lag too few
-        with pytest.raises(ModelError, match="array 'dense0.w' has shape"):
-            load_model(self.tamper(spec, arrays, path))
