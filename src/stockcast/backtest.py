@@ -95,6 +95,7 @@ class GridCell:
     epochs: int
     mean_mse: float | None
     failed: bool
+    reason: str  # why the cell failed; empty when it did not
     rank: int = 0
 
 
@@ -302,7 +303,8 @@ def grid_search(
     A cell fails when its model kind rejects its settings, when any step
     failed for a reason other than a diverged loss, or when no step was
     scored, so no cell ranks on the fewer test days its data could support.
-    Any other error ends the sweep.
+    Its `reason` is the rejection's message, else the first such step's
+    error, else the first diverged step's. Any other error ends the sweep.
     """
     cells: list[GridCell] = []
     specs: list[ModelSpec] = []
@@ -310,16 +312,17 @@ def grid_search(
         cfg = replace(template.train, learning_rate=lr, lookback=lookback, epochs=epochs)
         try:
             specs.append(replace(template, train=cfg))
-        except ValueError:  # e.g. a cnn1d lookback shorter than its kernel
-            cells.append(GridCell(lr, lookback, epochs, None, True))
+        except ValueError as exc:  # e.g. a cnn1d lookback shorter than its kernel
+            cells.append(GridCell(lr, lookback, epochs, None, True, str(exc)))
 
     reports = compare_models(specs, panel, graph_config, plan, base_seed) if specs else []
     for spec, report in reports:
-        cell_failed = not math.isfinite(report.summary_mse) or any(
-            not isinstance(f.error, DivergedLossError) for f in report.failed)
+        fatal = [f for f in report.failed if not isinstance(f.error, DivergedLossError)]
+        cell_failed = bool(fatal) or not math.isfinite(report.summary_mse)
+        reason = next((f.reason for f in fatal or report.failed), "") if cell_failed else ""
         cfg = spec.train
         cells.append(GridCell(cfg.learning_rate, cfg.lookback, cfg.epochs,
-                              None if cell_failed else report.summary_mse, cell_failed))
+                              None if cell_failed else report.summary_mse, cell_failed, reason))
 
     cells.sort(key=lambda c: (c.failed, math.inf if c.mean_mse is None else c.mean_mse,
                               c.learning_rate, c.lookback, c.epochs))

@@ -119,6 +119,7 @@ def _items_label(items) -> str:
 def cmd_graph(cfg: RunConfig) -> Outputs:
     _, panel = _load_inputs(cfg)
     graph = build_graph(daily_returns(panel), cfg.to_graph_config())
+    edges = graph.edges
     rules = [
         (
             _items_label(r.antecedent),
@@ -131,13 +132,13 @@ def cmd_graph(cfg: RunConfig) -> Outputs:
     ]
     return {
         "graph_edges.csv": (("ticker_a", "ticker_b", "weight", "provenance"),
-                            [(a, b, _fmt(w), p) for a, b, w, p in graph.edges]),
+                            [(a, b, _fmt(w), p) for a, b, w, p in edges]),
         "assoc_rules.csv": (("antecedent", "consequent", "support", "confidence", "lift"),
                             rules),
     }, {
-        "n_corr_edges": sum(p != "assoc" for *_, p in graph.edges),
+        "n_corr_edges": sum(p != "assoc" for *_, p in edges),
         "n_rules": len(graph.rules.rules),
-        "n_edges": len(graph.edges),
+        "n_edges": len(edges),
     }
 
 
@@ -194,12 +195,14 @@ def cmd_gridsearch(cfg: RunConfig) -> Outputs:
             "" if c.mean_mse is None else _fmt(c.mean_mse),
             c.rank,
             "failed" if c.failed else "ok",
+            c.reason,
         )
         for c in cells
     ]
     best = next((c for c in cells if not c.failed), None)
     return {
-        "grid_results.csv": (("lr", "lookback", "epochs", "mean_mse", "rank", "status"), rows),
+        "grid_results.csv": (("lr", "lookback", "epochs", "mean_mse", "rank", "status", "reason"),
+                             rows),
     }, {
         "n_cells": len(cells),
         "best": None
@@ -257,7 +260,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    out_dir = Path(cfg.out_dir)
     try:
+        # refused before any work: out_dir, or its nearest existing parent, is a file
+        if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+            raise ConfigError(f"out_dir: {out_dir} is not a directory and cannot become one")
         tables, extra = COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -272,7 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out_dir / name, header, rows)

@@ -63,7 +63,7 @@ class RunConfig:
     learning_rate: float = _TRAIN.learning_rate
     lookback: int = _TRAIN.lookback
     epochs: int = _TRAIN.epochs
-    batch_size: int = 0  # 0 means full batch
+    batch_size: int = _TRAIN.batch_size
     dropout: float = _TRAIN.dropout
     patience: int = _TRAIN.patience
     min_delta: float = _TRAIN.min_delta
@@ -90,11 +90,8 @@ class RunConfig:
     def to_graph_config(self) -> GraphConfig:
         return self._build(GraphConfig)
 
-    def to_train_config(self) -> TrainConfig:
-        return self._build(TrainConfig, batch_size=self.batch_size or None)
-
     def to_model_spec(self, kind: str) -> ModelSpec:
-        return self._build(ModelSpec, kind=kind, train=self.to_train_config())
+        return self._build(ModelSpec, kind=kind, train=self._build(TrainConfig))
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -140,7 +137,6 @@ def validate_config(cfg: RunConfig) -> None:
                f"{cfg.end_date} is before start_date {cfg.start_date}")
     _checked_build(cfg.to_graph_config)
     _check(bool(cfg.models), "models", "must not be empty")
-    _check(cfg.batch_size >= 0, "batch_size", "must be >= 0 (0 = full batch)")
     lo, hi = EPOCH_BOUNDS
     _check(lo <= cfg.epochs <= hi, "epochs", f"must be in [{lo}, {hi}]")
     for kind in cfg.models:

@@ -63,7 +63,7 @@ class EmptyDatabaseError(GraphError):
 
 
 class UnknownTickerError(GraphError):
-    """An edge or rule references a ticker outside the vertex set."""
+    """A rule references a ticker outside the vertex set."""
 
 
 # -- autodiff ------------------------------------------------------------

@@ -47,7 +47,7 @@ class TrainConfig:
     learning_rate: float = 0.005
     lookback: int = 11
     epochs: int = 40
-    batch_size: int | None = None  # None trains on the full batch every epoch
+    batch_size: int = 0  # 0 trains on the full batch every epoch
     dropout: float = 0.5
     patience: int = 5
     min_delta: float = 1e-6
@@ -61,8 +61,8 @@ class TrainConfig:
             raise ValueError(f"lookback must be >= 1, got {self.lookback}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 0:
+            raise ValueError(f"batch_size must be >= 0 (0 = full batch), got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.patience < 1:

@@ -61,10 +61,19 @@ class RuleSet:
 @dataclass(eq=False)
 class StockGraph:
     tickers: list[str]
-    # sorted (ticker_a, ticker_b, weight, provenance) rows with ticker_a < ticker_b;
-    # provenance is corr, assoc, or both
-    edges: list[tuple[str, str, float, str]]
+    weight: np.ndarray  # (N, N) in ticker order, symmetric; 0 means no edge, zero diagonal
+    source: np.ndarray  # (N, N) int: 1 corr, 2 assoc, 3 both, 0 no edge and on the diagonal
     rules: RuleSet  # the mined rules behind the assoc edges
+
+    @property
+    def edges(self) -> list[tuple[str, str, float, str]]:
+        """Sorted (ticker_a, ticker_b, weight, corr|assoc|both) rows, ticker_a < ticker_b."""
+        labels = ("", "corr", "assoc", "both")  # indexed by source
+        return sorted(
+            (*sorted((self.tickers[i], self.tickers[j])), float(self.weight[i, j]),
+             labels[self.source[i, j]])
+            for i, j in zip(*np.nonzero(np.triu(self.source, 1)))
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,18 +122,14 @@ def pearson_matrix(returns: ReturnPanel) -> CorrMatrix:
     return CorrMatrix(tickers=list(returns.tickers), rho=rho)
 
 
-def correlation_edges(corr: CorrMatrix, tau: float = 0.7) -> dict[tuple[str, str], float]:
-    """Ticker pairs with |rho| strictly above tau, weighted by |rho|."""
+def correlation_edges(corr: CorrMatrix, tau: float = 0.7) -> np.ndarray:
+    """(N, N) weights in corr.tickers order: |rho| where it is strictly above
+    tau, else 0; the diagonal is 0. Each pair reads rho above the diagonal."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    edges: dict[tuple[str, str], float] = {}
-    n = len(corr.tickers)
-    for i in range(n):
-        for j in range(i + 1, n):
-            strength = abs(corr.rho[i, j])
-            if strength > tau:
-                edges[(corr.tickers[i], corr.tickers[j])] = float(strength)
-    return edges
+    upper = np.abs(np.triu(corr.rho, 1))
+    upper = np.where(upper > tau, upper, 0.0)
+    return upper + upper.T
 
 
 def co_movement_transactions(returns: ReturnPanel, move_threshold: float = 0.001) -> TransactionDB:
@@ -222,37 +227,34 @@ def mine_rules(
 
 
 def assemble_graph(
-    corr_edges: Mapping[tuple[str, str], float],
+    corr: np.ndarray,
     rules: RuleSet,
     tickers: Sequence[str],
     lift_cap: float = 3.0,
 ) -> StockGraph:
     """Merge correlation and rule evidence into one weighted undirected graph.
 
-    Rule edges connect every cross pair of antecedent and consequent tickers
-    at weight min(1, lift / lift_cap). Each source keeps the largest weight
-    it proposes for a pair; an edge weighs the larger of its two sources and
-    is labeled with every source that proposed it. Self-pairs get no edge.
+    `corr` is correlation_edges' symmetric (N, N) array in `tickers` order. Rule
+    edges connect every cross pair of antecedent and consequent tickers at
+    weight min(1, lift / lift_cap). Each source keeps the largest weight it
+    proposes for a pair; an edge weighs the larger of its two sources and is
+    labeled with every source that proposed it. Self-pairs get no edge.
     """
     n = len(tickers)
+    if np.shape(corr) != (n, n):
+        raise ValueError(f"correlation weights have shape {np.shape(corr)}, not (N, N), N = {n}")
     index = {t: i for i, t in enumerate(tickers)}
-
-    def columns(names: Iterable[str]) -> list[int]:
-        try:
-            return [index[name] for name in names]
-        except KeyError as exc:
-            raise UnknownTickerError(f"edge references unknown ticker {exc.args[0]!r}") from None
 
     def ticker_mask(sides: list[frozenset[Item]]) -> np.ndarray:
         """(len(sides), N) bool: the tickers each rule side names."""
         mask = np.zeros((len(sides), n), dtype=bool)
         owner = np.repeat(np.arange(len(sides)), [len(side) for side in sides])
-        mask[owner, columns(ticker for side in sides for ticker, _ in side)] = True
+        try:
+            columns = [index[ticker] for side in sides for ticker, _ in side]
+        except KeyError as exc:
+            raise UnknownTickerError(f"rule references unknown ticker {exc.args[0]!r}") from None
+        mask[owner, columns] = True
         return mask
-
-    corr = np.zeros((n, n))
-    corr[columns(a for a, _ in corr_edges), columns(b for _, b in corr_edges)] = list(
-        corr_edges.values())
 
     assoc = np.zeros((n, n))
     weights = np.minimum(1.0, np.array([rule.lift for rule in rules.rules]) / lift_cap)
@@ -262,36 +264,28 @@ def assemble_graph(
         hit = antecedents[:, i]
         assoc[i] = np.where(consequents[hit], weights[hit, None], 0.0).max(axis=0, initial=0.0)
 
-    corr = np.maximum(corr, corr.T)
     assoc = np.maximum(assoc, assoc.T)
     weight = np.maximum(corr, assoc)
-    source = np.triu((corr > 0) + 2 * (assoc > 0), 1)
-    labels = ("", "corr", "assoc", "both")  # indexed by source
-    edges = sorted(
-        (*sorted((tickers[i], tickers[j])), float(weight[i, j]), labels[source[i, j]])
-        for i, j in zip(*np.nonzero(source))
-    )
-    return StockGraph(tickers=list(tickers), edges=edges, rules=rules)
+    source = (corr > 0) + 2 * (assoc > 0)
+    # a same-ticker rule (A:UP -> A:DOWN) lands on the diagonal: no edge
+    np.fill_diagonal(weight, 0.0)
+    np.fill_diagonal(source, 0)
+    return StockGraph(tickers=list(tickers), weight=weight, source=source, rules=rules)
 
 
 def normalized_adjacency(graph: StockGraph) -> np.ndarray:
     """Self-looped, symmetrically degree-normalized adjacency D^-1/2 (W+I) D^-1/2,
     an (N, N) array in the order of graph.tickers."""
-    n = len(graph.tickers)
-    index = {t: i for i, t in enumerate(graph.tickers)}
-    a = np.eye(n)
-    for u, v, weight, _ in graph.edges:
-        a[index[u], index[v]] = a[index[v], index[u]] = weight
-    degree = a.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(degree)
+    a = graph.weight + np.eye(len(graph.tickers))
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * np.outer(inv_sqrt, inv_sqrt)
 
 
 def build_graph(returns: ReturnPanel, config: GraphConfig = GraphConfig()) -> StockGraph:
     """Full pipeline: correlations + mined rules over the whole return panel."""
     corr = pearson_matrix(returns)
-    corr_e = correlation_edges(corr, config.corr_threshold)
+    corr_w = correlation_edges(corr, config.corr_threshold)
     txdb = co_movement_transactions(returns, config.move_threshold)
     frequents = apriori_frequent(txdb, config.min_support)
     rules = mine_rules(frequents, config.min_confidence, config.min_lift)
-    return assemble_graph(corr_e, rules, returns.tickers, config.lift_cap)
+    return assemble_graph(corr_w, rules, returns.tickers, config.lift_cap)

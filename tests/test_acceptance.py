@@ -207,12 +207,12 @@ class TestAdjacencySpectrum:
         for _ in range(200):
             n = int(rng.integers(1, 11))
             tickers = [f"T{k}" for k in range(n)]
-            corr_edges = {}
+            corr = np.zeros((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
                     if rng.random() < 0.5:
-                        corr_edges[(tickers[i], tickers[j])] = float(rng.uniform(0.01, 1.0))
-            graph = assemble_graph(corr_edges, rules_of(), tickers)
+                        corr[i, j] = corr[j, i] = rng.uniform(0.01, 1.0)
+            graph = assemble_graph(corr, rules_of(), tickers)
             a_hat = normalized_adjacency(graph)
             eigenvalues = np.linalg.eigvalsh(a_hat)
             worst_low = max(worst_low, -1.0 - eigenvalues.min())

@@ -10,6 +10,8 @@ import pytest
 
 from stockcast import backtest
 from stockcast.backtest import (
+    BacktestReport,
+    FailedStep,
     GridSpace,
     compare_models,
     expanding_schedule,
@@ -18,7 +20,9 @@ from stockcast.backtest import (
     step_seed,
 )
 from stockcast.errors import (
+    DivergedLossError,
     InsufficientHistoryError,
+    PanelTooShortError,
     ShapeMismatchError,
     SliceTooShortError,
 )
@@ -371,6 +375,34 @@ class TestGridSearch:
         template = ModelSpec("cnn1d", cnn_channels=2, cnn_kernel=3, dense_hidden=(2,), train=base)
         cells = grid_search(space, template, panel, GraphConfig(), plan)
         assert [(c.lookback, c.failed, c.rank) for c in cells] == [(3, False, 1), (2, True, 2)]
+
+    def test_failed_cell_reasons(self, monkeypatch):
+        # the first step error that is not a divergence names the cell's
+        # failure; a cell whose every failure diverged reads the first one
+        panel, plan = self.make_inputs()
+        step_errors = {
+            0.01: ([DivergedLossError("epoch 2: loss nan"), PanelTooShortError("short")], 0.5),
+            0.02: ([DivergedLossError("epoch 1: loss inf"), DivergedLossError("x")], math.nan),
+            0.03: ([DivergedLossError("epoch 3: loss nan")], 0.5),
+        }
+
+        def fake_compare(specs, *args):
+            reports = []
+            for spec in specs:
+                errors, mse = step_errors[spec.train.learning_rate]
+                failed = [FailedStep(k, plan.test_dates[k], e) for k, e in enumerate(errors)]
+                reports.append((spec, BacktestReport(spec.kind, [], [], mse, failed)))
+            return reports
+
+        monkeypatch.setattr(backtest, "compare_models", fake_compare)
+        cells = grid_search(GridSpace(list(step_errors), [3], [10]), linreg_spec(), panel,
+                            GraphConfig(), plan)
+        assert {c.learning_rate: (c.failed, c.reason) for c in cells} == {
+            0.01: (True, "short"), 0.02: (True, "epoch 1: loss inf"), 0.03: (False, "")}
+
+        template = ModelSpec("cnn1d", cnn_kernel=3, train=linreg_spec().train)
+        rejected = grid_search(GridSpace([0.01], [2], [10]), template, panel, GraphConfig(), plan)
+        assert rejected[0].reason == "lookback must be >= cnn_kernel 3 for cnn1d, got 2"
 
     def test_programming_error_in_a_cell_propagates(self, monkeypatch):
         panel, plan = self.make_inputs()

@@ -168,7 +168,7 @@ class TestConfig:
         spec = cfg.to_model_spec("hybrid")
         assert spec.kind == "hybrid"
         assert spec.train.learning_rate == cfg.learning_rate
-        assert spec.train.batch_size is None  # 0 means full batch
+        assert spec.train.batch_size == 0  # 0 means full batch
 
     def test_spec_fields_are_keys_with_library_defaults(self):
         # the to_* methods read every spec field from the key of the same name
@@ -220,6 +220,18 @@ class TestIngest:
             assert code == 3, command
             assert "need >= 2 dates, panel has 1" in capsys.readouterr().err, command
             assert not out.exists(), command
+
+    def test_out_dir_that_cannot_be_a_directory_is_refused_before_work(self, data_dir, tmp_path,
+                                                                       capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("keep me\n")
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        for out in (afile, afile / "x"):
+            assert main(["ingest", *base_args(data_dir, out)]) == 2, out
+            err = capsys.readouterr().err
+            assert err.startswith("config error: out_dir:") and str(afile) in err, err
+        assert calls == []
+        assert afile.read_text() == "keep me\n"
 
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
@@ -397,7 +409,7 @@ class TestGridsearch:
         ])
         assert code == 0
         rows = read_csv(out / "grid_results.csv")
-        assert rows[0] == ["lr", "lookback", "epochs", "mean_mse", "rank", "status"]
+        assert rows[0] == ["lr", "lookback", "epochs", "mean_mse", "rank", "status", "reason"]
         assert len(rows) == 3
         assert rows[1][4] == "1"
         values = [float(r[3]) for r in rows[1:] if r[3] != ""]
@@ -419,6 +431,8 @@ class TestGridsearch:
         rows = read_csv(out / "grid_results.csv")
         assert len(rows) == 1 + 15
         assert {(r[3], r[5]) for r in rows[1:]} == {("", "failed")}
+        reason = "linreg needs more than lookback + 1 = 2 samples, got 2"
+        assert {r[6] for r in rows[1:]} == {reason}
         assert "best=null" in (out / "run_manifest.txt").read_text().splitlines()
 
     def test_grid_lookback_past_the_base_window_is_a_config_error(self, tmp_path, capsys,

@@ -124,15 +124,25 @@ class TestCorrelationEdges:
         return corr
 
     def test_above_threshold_included(self):
-        edges = correlation_edges(self.make_corr(0.71), tau=0.7)
-        assert edges == {("S0", "S1"): pytest.approx(0.71)}
+        weights = correlation_edges(self.make_corr(0.71), tau=0.7)
+        assert np.array_equal(weights, [[0.0, 0.71], [0.71, 0.0]])
 
     def test_exactly_threshold_excluded(self):
-        assert correlation_edges(self.make_corr(0.70), tau=0.7) == {}
+        assert not correlation_edges(self.make_corr(0.70), tau=0.7).any()
 
     def test_absolute_value(self):
-        edges = correlation_edges(self.make_corr(-0.75), tau=0.7)
-        assert edges[("S0", "S1")] == pytest.approx(0.75)
+        weights = correlation_edges(self.make_corr(-0.75), tau=0.7)
+        assert np.array_equal(weights, [[0.0, 0.75], [0.75, 0.0]])
+
+    def test_masked_abs_rho_symmetric_with_zero_diagonal(self, rng):
+        for tau in (0.05, 0.2, 0.4):
+            corr = pearson_matrix(returns_panel(rng.normal(0, 0.02, size=(12, 6))))
+            weights = correlation_edges(corr, tau)
+            assert np.array_equal(weights, weights.T)
+            assert np.all(np.diag(weights) == 0.0)
+            for i, j in combinations(range(6), 2):
+                strength = abs(corr.rho[i, j])
+                assert weights[i, j] == (strength if strength > tau else 0.0)
 
     def test_tau_validated(self):
         with pytest.raises(ValueError):
@@ -302,55 +312,76 @@ def rules_of(*specs) -> RuleSet:
     return RuleSet(rules=rules)
 
 
+def corr_weights(tickers, pairs) -> np.ndarray:
+    """correlation_edges' (N, N) array in `tickers` order holding `pairs`,
+    a {(ticker_a, ticker_b): weight} dict, at both [i, j] and [j, i]."""
+    index = {t: i for i, t in enumerate(tickers)}
+    weights = np.zeros((len(tickers), len(tickers)))
+    for (a, b), weight in pairs.items():
+        weights[index[a], index[b]] = weights[index[b], index[a]] = weight
+    return weights
+
+
+def random_graph_inputs(rng):
+    """Tickers out of name order, correlation pairs in either order, and rules
+    whose two sides may name the same ticker."""
+    n = int(rng.integers(2, 7))
+    tickers = [f"T{k}" for k in rng.permutation(n)]  # index order is not name order
+    corr_pairs = {
+        (a, b) if rng.random() < 0.5 else (b, a): float(rng.uniform(0.7, 1.0))
+        for a, b in combinations(tickers, 2) if rng.random() < 0.3
+    }
+    ruleset = rules_of(*[
+        ([(t, UP) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
+         [(t, DOWN) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
+         float(rng.uniform(1.7, 4.0)))
+        for _ in range(int(rng.integers(0, 8)))
+    ])
+    return tickers, corr_pairs, ruleset
+
+
 class TestAssembleGraph:
     def test_merge_takes_max_weight_and_both_flags(self):
-        corr_edges = {("A", "B"): 0.8}
+        corr = corr_weights(["A", "B"], {("A", "B"): 0.8})
         ruleset = rules_of(([("A", UP)], [("B", UP)], 2.4))
-        graph = assemble_graph(corr_edges, ruleset, ["A", "B"], lift_cap=3.0)
+        graph = assemble_graph(corr, ruleset, ["A", "B"], lift_cap=3.0)
         assert graph.edges == [("A", "B", pytest.approx(0.8), "both")]
         assert graph.rules is ruleset  # the rules behind the assoc edges stay with the graph
 
     def test_no_edges_gives_isolated_vertices(self):
-        graph = assemble_graph({}, rules_of(), ["A", "B", "C"])
+        graph = assemble_graph(corr_weights(["A", "B", "C"], {}), rules_of(), ["A", "B", "C"])
         assert graph.edges == []
         assert graph.tickers == ["A", "B", "C"]
 
     def test_same_ticker_rule_adds_no_edge(self):
         ruleset = rules_of(([("A", UP)], [("A", DOWN)], 2.5))
-        graph = assemble_graph({}, ruleset, ["A", "B"])
+        graph = assemble_graph(corr_weights(["A", "B"], {}), ruleset, ["A", "B"])
         assert graph.edges == []
+
+    def test_wrong_shape_names_shape_and_n(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\).*N = 2"):
+            assemble_graph(np.zeros((3, 3)), rules_of(), ["A", "B"])
 
     def test_unknown_ticker(self):
         with pytest.raises(UnknownTickerError):
-            assemble_graph({("A", "Z"): 0.9}, rules_of(), ["A", "B"])
-        with pytest.raises(UnknownTickerError):
-            assemble_graph({}, rules_of(([("A", UP)], [("Z", UP)], 2.0)), ["A", "B"])
+            assemble_graph(np.zeros((2, 2)), rules_of(([("A", UP)], [("Z", UP)], 2.0)),
+                           ["A", "B"])
 
     def test_lift_weight_capped_at_one(self):
         ruleset = rules_of(([("A", UP)], [("B", UP)], 9.0))
-        graph = assemble_graph({}, ruleset, ["A", "B"], lift_cap=3.0)
+        graph = assemble_graph(corr_weights(["A", "B"], {}), ruleset, ["A", "B"], lift_cap=3.0)
         assert graph.edges == [("A", "B", 1.0, "assoc")]
 
     def test_weights_in_unit_interval(self, rng):
         ruleset = rules_of(([("A", UP)], [("B", DOWN)], 1.8), ([("B", UP)], [("C", UP)], 2.9))
-        graph = assemble_graph({("A", "C"): 0.72}, ruleset, ["A", "B", "C"])
+        tickers = ["A", "B", "C"]
+        graph = assemble_graph(corr_weights(tickers, {("A", "C"): 0.72}), ruleset, tickers)
         for _, _, weight, _ in graph.edges:
             assert 0.0 < weight <= 1.0
 
     def test_matches_per_pair_merge(self, rng):
         for _ in range(40):
-            n = int(rng.integers(2, 7))
-            tickers = [f"T{k}" for k in rng.permutation(n)]  # index order is not name order
-            corr_edges = {
-                (a, b) if rng.random() < 0.5 else (b, a): float(rng.uniform(0.7, 1.0))
-                for a, b in combinations(tickers, 2) if rng.random() < 0.3
-            }
-            ruleset = rules_of(*[
-                ([(t, UP) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
-                 [(t, DOWN) for t in rng.choice(tickers, int(rng.integers(1, 3)), replace=False)],
-                 float(rng.uniform(1.7, 4.0)))
-                for _ in range(int(rng.integers(0, 8)))
-            ])
+            tickers, corr_edges, ruleset = random_graph_inputs(rng)
             # reference: merge each proposed pair into a dict, one pair at a time
             merged: dict[tuple[str, str], tuple[float, set]] = {}
 
@@ -368,17 +399,29 @@ class TestAssembleGraph:
                         put(a, b, min(1.0, rule.lift / 3.0), "assoc")
             want = [(a, b, weight, "both" if len(sources) == 2 else sources.pop())
                     for (a, b), (weight, sources) in sorted(merged.items())]
-            assert assemble_graph(corr_edges, ruleset, tickers, lift_cap=3.0).edges == want
+            corr = corr_weights(tickers, corr_edges)
+            assert assemble_graph(corr, ruleset, tickers, lift_cap=3.0).edges == want
+
+    def test_fields_are_symmetric_with_zero_diagonal(self, rng):
+        for _ in range(40):
+            tickers, corr_pairs, ruleset = random_graph_inputs(rng)
+            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers)
+            for field in (graph.weight, graph.source):
+                assert np.array_equal(field, field.T)
+                assert not np.diag(field).any()
+            assert np.array_equal(graph.weight > 0, graph.source > 0)
+            assert set(np.unique(graph.source)) <= {0, 1, 2, 3}
 
 
 class TestNormalizedAdjacency:
     def test_two_nodes_one_unit_edge(self):
-        graph = assemble_graph({("A", "B"): 1.0}, rules_of(), ["A", "B"])
+        graph = assemble_graph(corr_weights(["A", "B"], {("A", "B"): 1.0}), rules_of(), ["A", "B"])
         a_hat = normalized_adjacency(graph)
         assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_isolated_node_keeps_unit_self_loop(self):
-        graph = assemble_graph({("A", "B"): 0.9}, rules_of(), ["A", "B", "C"])
+        tickers = ["A", "B", "C"]
+        graph = assemble_graph(corr_weights(tickers, {("A", "B"): 0.9}), rules_of(), tickers)
         a_hat = normalized_adjacency(graph)
         assert a_hat[2, 2] == 1.0
         assert np.all(a_hat[2, :2] == 0.0) and np.all(a_hat[:2, 2] == 0.0)
@@ -392,12 +435,26 @@ class TestNormalizedAdjacency:
                 for j in range(i + 1, n):
                     if rng.random() < 0.4:
                         corr_edges[(tickers[i], tickers[j])] = float(rng.uniform(0.05, 1.0))
-            a_hat = normalized_adjacency(assemble_graph(corr_edges, rules_of(), tickers))
+            corr = corr_weights(tickers, corr_edges)
+            a_hat = normalized_adjacency(assemble_graph(corr, rules_of(), tickers))
             assert np.allclose(a_hat, a_hat.T, atol=1e-15)
             assert np.all(a_hat >= 0.0)
             eigenvalues = np.linalg.eigvalsh(a_hat)
             assert eigenvalues.min() >= -1.0 - 1e-9
             assert eigenvalues.max() <= 1.0 + 1e-9
+
+    def test_matches_row_loop_bitwise(self, rng):
+        # reference: the self-looped matrix rebuilt from the edge rows, one
+        # row at a time; a same-ticker rule must leave the diagonal at 1
+        for _ in range(50):
+            tickers, corr_pairs, ruleset = random_graph_inputs(rng)
+            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers)
+            index = {t: i for i, t in enumerate(tickers)}
+            a = np.eye(len(tickers))
+            for u, v, weight, _ in graph.edges:
+                a[index[u], index[v]] = a[index[v], index[u]] = weight
+            inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+            assert np.array_equal(normalized_adjacency(graph), a * np.outer(inv_sqrt, inv_sqrt))
 
 
 class TestPipeline:
@@ -411,9 +468,10 @@ class TestPipeline:
         assert ("A", "B") in [(a, b) for a, b, _, _ in graph.edges]
 
     def test_edge_records_sorted_and_labeled(self):
-        corr_edges = {("B", "A"): 0.9, ("C", "A"): 0.8}
+        tickers = ["A", "B", "C"]
+        corr = corr_weights(tickers, {("B", "A"): 0.9, ("C", "A"): 0.8})
         ruleset = rules_of(([("A", UP)], [("B", UP)], 2.4))
-        graph = assemble_graph(corr_edges, ruleset, ["A", "B", "C"])
+        graph = assemble_graph(corr, ruleset, tickers)
         records = graph.edges
         assert [(a, b) for a, b, _, _ in records] == [("A", "B"), ("A", "C")]
         assert records[0][3] == "both"
