@@ -30,7 +30,6 @@ from .market_data import (
 )
 from .models import EarlyStopper, ModelSpec, TrainConfig, train
 from .relation_graph import (
-    CorrMatrix,
     GraphConfig,
     RuleSet,
     StockGraph,

@@ -54,7 +54,6 @@ class PlanStep:
 
 @dataclass(eq=False)
 class WindowPlan:
-    test_dates: list[date]
     steps: list[PlanStep]
 
     @property
@@ -136,7 +135,7 @@ def expanding_schedule(
         )
         for k in range(test_count)
     ]
-    return WindowPlan(test_dates=list(dates[first_test:]), steps=steps)
+    return WindowPlan(steps)
 
 
 def step_seed(base_seed: int, step_index: int) -> int:
@@ -210,9 +209,8 @@ def run_step(
     trained parameters; raises whatever the step's data or training raises.
     """
     lookback = spec.train.lookback
-    train_range = DateRange(step.train_start, step.train_end)
-    train_panel = panel.window(train_range)
-    scaler = fit_scaler(train_panel, train_range)
+    train_panel = panel.window(DateRange(step.train_start, step.train_end))
+    scaler = fit_scaler(train_panel)
     scaled_train = scale(scaler, train_panel)
 
     a_hat = None

@@ -2,10 +2,11 @@
 
 Every subcommand resolves one RunConfig (defaults < config file < --set
 overrides), validates it before touching any data, and returns its plain
-CSV tables plus the extra fields of its run manifest. `main` writes them
-into the output directory only after the command has succeeded, so a
-refused command creates no output directory. Reruns with the same config
-and seed overwrite the outputs with byte-identical content.
+CSV tables plus the extra fields of its run manifest. `main` creates the
+output directory before the command runs and writes the tables into it only
+after the command has succeeded; a refused command leaves no directory it
+created. Reruns with the same config and seed overwrite the outputs with
+byte-identical content.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training failure.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 training failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from datetime import date
@@ -86,7 +88,7 @@ def cmd_ingest(cfg: RunConfig) -> Outputs:
     series, panel = _load_inputs(cfg)
     if panel.n_days < 2:  # one close per ticker has no range to normalize by
         raise PanelTooShortError(f"need >= 2 dates, panel has {panel.n_days}")
-    norm = scale(fit_scaler(panel, DateRange(panel.dates[0], panel.dates[-1])), panel)
+    norm = scale(fit_scaler(panel), panel)
 
     summary = [
         (s.ticker, len(s.rows), s.dates[0].isoformat(), s.dates[-1].isoformat())
@@ -261,11 +263,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
     out_dir = Path(cfg.out_dir)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
+    code = None
     try:
-        # refused before any work: out_dir, or its nearest existing parent, is a file
-        if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
-            raise ConfigError(f"out_dir: {out_dir} is not a directory and cannot become one")
-        tables, extra = COMMANDS[args.command](cfg)
+        code = _run(args.command, cfg, out_dir)
+    finally:
+        if code != EXIT_OK:  # a command that fails leaves no directory it made
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+    return code
+
+
+def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
+    """Create `out_dir`, run the command, and write its outputs into the
+    directory once it has succeeded; returns the exit code."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # refused before any work
+        print(f"config error: out_dir: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        tables, extra = COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -279,10 +298,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out_dir / name, header, rows)
-    text = "\n".join(manifest_lines(cfg, args.command, extra)) + "\n"
+    text = "\n".join(manifest_lines(cfg, command, extra)) + "\n"
     (out_dir / "run_manifest.txt").write_text(text)
     return EXIT_OK
 

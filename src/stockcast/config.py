@@ -78,7 +78,7 @@ class RunConfig:
     grid_epochs: list[int] = field(default_factory=lambda: [10, 20, 30, 40, 50])
     # run
     out_dir: str = "out"
-    seed: int = _TRAIN.seed
+    seed: int = 0  # run seed; each backtest step derives its training seed from it
 
     def _build(self, cls, **explicit):
         """`cls` with each field not in `explicit` read from the key of the

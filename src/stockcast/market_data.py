@@ -67,15 +67,9 @@ class PricePanel:
     def n_stocks(self) -> int:
         return len(self.tickers)
 
-    def range_indices(self, rng: DateRange) -> tuple[int, int]:
-        """Half-open index span [lo, hi) of the dates inside `rng`."""
-        lo = bisect_left(self.dates, rng.start)
-        hi = bisect_right(self.dates, rng.end)
-        return lo, hi
-
     def window(self, rng: DateRange) -> "PricePanel":
         """Sub-panel restricted to the dates inside `rng` (inclusive)."""
-        lo, hi = self.range_indices(rng)
+        lo, hi = bisect_left(self.dates, rng.start), bisect_right(self.dates, rng.end)
         return PricePanel(self.tickers, self.dates[lo:hi], self.close[lo:hi])
 
 
@@ -193,14 +187,11 @@ def daily_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(tickers=list(panel.tickers), dates=panel.dates[1:], returns=returns)
 
 
-def fit_scaler(panel: PricePanel, fit_range: DateRange) -> Scaler:
-    """Fit per-ticker min-max extrema using only the closes inside `fit_range`."""
-    lo, hi = panel.range_indices(fit_range)
-    if hi <= lo:
-        raise ValueError(f"fit range {fit_range} covers no panel dates")
-    block = panel.close[lo:hi]
-    x_min = block.min(axis=0)
-    x_max = block.max(axis=0)
+def fit_scaler(panel: PricePanel) -> Scaler:
+    """Fit per-ticker min-max extrema on every close of `panel`; window the
+    panel first to fit on part of it."""
+    x_min = panel.close.min(axis=0)
+    x_max = panel.close.max(axis=0)
     flat = np.flatnonzero(x_max <= x_min)
     if flat.size:
         names = [panel.tickers[i] for i in flat]

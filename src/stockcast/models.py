@@ -52,7 +52,6 @@ class TrainConfig:
     patience: int = 5
     min_delta: float = 1e-6
     val_fraction: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rate > 0:
@@ -124,9 +123,10 @@ class EarlyStopper:
         self._epoch = 0
 
     def update(self, value: float) -> tuple[bool, bool]:
-        """Feed one epoch's monitored loss; returns (improved, should_stop)."""
+        """Feed one epoch's monitored loss; returns (improved, should_stop).
+        A NaN loss (nothing monitored) always counts as an improvement."""
         self._epoch += 1
-        if value < self.best - self.min_delta:
+        if math.isnan(value) or value < self.best - self.min_delta:
             self.best = value
             self.best_epoch = self._epoch
             self.bad_epochs = 0
@@ -514,7 +514,7 @@ def train(
     spec: ModelSpec,
     dataset: WindowDataset,
     a_hat: np.ndarray | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     initial_params: Mapping[str, Tensor] | None = None,
 ) -> TrainResult:
     """Fit one model on a window dataset.
@@ -522,8 +522,10 @@ def train(
     The chronological tail (val_fraction of the samples) is held out; Adam
     runs on the rest until the epoch cap, or until validation loss stops
     improving for `patience` consecutive epochs. The returned parameters are
-    the best-validation snapshot. `initial_params` warm-starts from an
-    earlier fit instead of a fresh seeded initialization.
+    the best-validation snapshot, or the last epoch's without a split.
+    `seed` draws the initialization, the shuffles and the dropout masks;
+    `initial_params` warm-starts from an earlier fit instead of a fresh
+    seeded initialization.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("no training samples")
@@ -551,7 +553,7 @@ def train(
     val_x = Tensor(dataset.inputs[n_train:]) if n_val else None
     val_y = dataset.targets[n_train:] if n_val else None
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed if seed is None else seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
     if initial_params is not None:
         params = _as_params({name: p.data for name, p in initial_params.items()})
     else:
@@ -562,8 +564,7 @@ def train(
     batch = cfg.batch_size or n_train
     history: list[tuple[float, float]] = []
     best = _snapshot(params)
-    best_epoch = 1
-    stopped_early = False
+    stop = False
 
     for epoch in range(1, cfg.epochs + 1):
         if batch < n_train:
@@ -585,29 +586,23 @@ def train(
             total += value * len(idx)
         train_mse = total / n_train
 
+        val_mse = math.nan
         if n_val:
-            val_pred = model_forward(val_x, spec, params, a_hat, training=False)
-            val_mse = float(np.mean((val_pred.data - val_y) ** 2))
+            # .data at once: the forward's tape is freed before the next epoch
+            val_pred = model_forward(val_x, spec, params, a_hat, training=False).data
+            val_mse = float(np.mean((val_pred - val_y) ** 2))
             if not math.isfinite(val_mse):
                 raise DivergedLossError(f"epoch {epoch}: validation loss {val_mse}")
-        else:
-            val_mse = math.nan
         history.append((train_mse, val_mse))
 
-        if n_val:
-            improved, stop = stopper.update(val_mse)
-            if improved:
-                best = _snapshot(params)
-                best_epoch = epoch
-            if stop:
-                stopped_early = True
-                break
-        else:
+        improved, stop = stopper.update(val_mse)
+        if improved:
             best = _snapshot(params)
-            best_epoch = epoch
+        if stop:
+            break
 
     return TrainResult(params=_as_params(best), history=history,
-                       best_epoch=best_epoch, stopped_early=stopped_early)
+                       best_epoch=stopper.best_epoch, stopped_early=stop)
 
 
 def predict(

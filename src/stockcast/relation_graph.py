@@ -30,12 +30,6 @@ Item = tuple[str, str]
 
 
 @dataclass(eq=False)
-class CorrMatrix:
-    tickers: list[str]
-    rho: np.ndarray  # (N, N), symmetric, unit diagonal
-
-
-@dataclass(eq=False)
 class TransactionDB:
     """One row per trading day, one column per item: present[d, k] is True
     when day d's transaction holds items[k]."""
@@ -100,8 +94,9 @@ class GraphConfig:
             raise ValueError(f"lift_cap must be > 0, got {self.lift_cap}")
 
 
-def pearson_matrix(returns: ReturnPanel) -> CorrMatrix:
-    """Pairwise correlation of daily returns.
+def pearson_matrix(returns: ReturnPanel) -> np.ndarray:
+    """Pairwise correlation of daily returns: a symmetric (N, N) array in
+    returns.tickers order with a unit diagonal.
 
     rho[i, j] = sum((r_i - mean_i)(r_j - mean_j)) / (||r_i - mean_i|| ||r_j - mean_j||).
     """
@@ -119,15 +114,15 @@ def pearson_matrix(returns: ReturnPanel) -> CorrMatrix:
     rho = (centered.T @ centered) / np.outer(norms, norms)
     np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
-    return CorrMatrix(tickers=list(returns.tickers), rho=rho)
+    return rho
 
 
-def correlation_edges(corr: CorrMatrix, tau: float = 0.7) -> np.ndarray:
-    """(N, N) weights in corr.tickers order: |rho| where it is strictly above
+def correlation_edges(rho: np.ndarray, tau: float = 0.7) -> np.ndarray:
+    """(N, N) weights in the order of `rho`: |rho| where it is strictly above
     tau, else 0; the diagonal is 0. Each pair reads rho above the diagonal."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    upper = np.abs(np.triu(corr.rho, 1))
+    upper = np.abs(np.triu(rho, 1))
     upper = np.where(upper > tau, upper, 0.0)
     return upper + upper.T
 
@@ -283,8 +278,7 @@ def normalized_adjacency(graph: StockGraph) -> np.ndarray:
 
 def build_graph(returns: ReturnPanel, config: GraphConfig = GraphConfig()) -> StockGraph:
     """Full pipeline: correlations + mined rules over the whole return panel."""
-    corr = pearson_matrix(returns)
-    corr_w = correlation_edges(corr, config.corr_threshold)
+    corr_w = correlation_edges(pearson_matrix(returns), config.corr_threshold)
     txdb = co_movement_transactions(returns, config.move_threshold)
     frequents = apriori_frequent(txdb, config.min_support)
     rules = mine_rules(frequents, config.min_confidence, config.min_lift)

@@ -35,7 +35,7 @@ from conftest import make_panel, weekdays
 
 
 def linreg_spec(lookback=3, **kw):
-    cfg = TrainConfig(lookback=lookback, epochs=10, dropout=0.0, seed=0, **kw)
+    cfg = TrainConfig(lookback=lookback, epochs=10, dropout=0.0, **kw)
     return ModelSpec("linreg", train=cfg)
 
 
@@ -101,7 +101,7 @@ class TestRunBacktest:
         report = run_backtest(linreg_spec(), panel, GraphConfig(), plan)
         assert len(report.per_day) == 50
         assert len(report.per_stock) == 10
-        assert [d for d, _ in report.per_day] == plan.test_dates
+        assert [d for d, _ in report.per_day] == [s.test_date for s in plan.steps]
 
     def test_summary_is_mean_of_days(self):
         panel = random_walk_panel(4, 50, seed=4)
@@ -122,10 +122,9 @@ class TestRunBacktest:
         panel = random_walk_panel(3, 40, seed=6)
         plan = expanding_schedule(panel.dates, 20, 5)
         for step in plan.steps:
-            rng = DateRange(step.train_start, step.train_end)
-            scaler = fit_scaler(panel.window(rng), rng)
-            lo, hi = panel.range_indices(rng)
-            assert np.array_equal(scaler.x_min, panel.close[lo:hi].min(axis=0))
+            scaler = fit_scaler(panel.window(DateRange(step.train_start, step.train_end)))
+            rows = [step.train_start <= d <= step.train_end for d in panel.dates]
+            assert np.array_equal(scaler.x_min, panel.close[rows].min(axis=0))
             assert step.train_end < step.test_date
 
     def test_deterministic_reports(self):
@@ -133,7 +132,7 @@ class TestRunBacktest:
         plan = expanding_schedule(panel.dates, 40, 4)
         spec = ModelSpec(
             "lstm", hidden_size=4, lstm_layers=1, fusion_hidden=(4,),
-            train=TrainConfig(lookback=5, epochs=3, dropout=0.2, seed=3),
+            train=TrainConfig(lookback=5, epochs=3, dropout=0.2),
         )
         a = run_backtest(spec, panel, GraphConfig(), plan, base_seed=9)
         b = run_backtest(spec, panel, GraphConfig(), plan, base_seed=9)
@@ -167,9 +166,9 @@ class TestRunBacktest:
                          fusion_hidden=(2,),
                          train=TrainConfig(lookback=1, epochs=10, dropout=0.0))
         report = run_backtest(spec, panel, GraphConfig(), plan)
-        assert [(f.index, f.test_date) for f in report.failed] == [(0, plan.test_dates[0])]
+        assert [(f.index, f.test_date) for f in report.failed] == [(0, plan.steps[0].test_date)]
         assert "return days" in report.failed[0].reason
-        assert [d for d, _ in report.per_day] == [plan.test_dates[1]]
+        assert [d for d, _ in report.per_day] == [plan.steps[1].test_date]
         assert report.summary_mse == report.per_day[0][1]
 
     def test_program_fault_in_a_step_propagates(self, monkeypatch):
@@ -189,7 +188,7 @@ class TestRunBacktest:
         plan = expanding_schedule(panel.dates, 30, 3)
         spec = ModelSpec(
             "dense", dense_hidden=(6,),
-            train=TrainConfig(lookback=4, epochs=10, dropout=0.0, batch_size=8, seed=2),
+            train=TrainConfig(lookback=4, epochs=10, dropout=0.0, batch_size=8),
         )
         cold = run_backtest(spec, panel, GraphConfig(), plan, base_seed=1)
         warm = run_backtest(spec, panel, GraphConfig(), plan, base_seed=1, warm_start=True)
@@ -205,7 +204,7 @@ class TestRunBacktest:
         spec = ModelSpec(
             "hybrid", hidden_size=4, lstm_layers=1, gcn_hidden=3, gcn_out=2,
             fusion_hidden=(3,),
-            train=TrainConfig(lookback=5, epochs=3, dropout=0.0, seed=1),
+            train=TrainConfig(lookback=5, epochs=3, dropout=0.0),
         )
         report = run_backtest(spec, panel, GraphConfig(), plan, base_seed=2)
         assert len(report.per_day) == 3
@@ -239,7 +238,7 @@ class TestParallelWalk:
         spec = ModelSpec(
             kind, hidden_size=4, lstm_layers=2, gcn_hidden=3, gcn_out=2,
             fusion_hidden=(3,), dense_hidden=(5,),
-            train=TrainConfig(lookback=5, epochs=3, dropout=0.5, seed=1),
+            train=TrainConfig(lookback=5, epochs=3, dropout=0.5),
         )
         reports = []
         for n_cpus, n_pools in ((1, 0), (2, 1)):
@@ -264,10 +263,10 @@ class TestParallelWalk:
             report = run_backtest(spec, panel, GraphConfig(), plan)
             assert len(pools) == n_pools
             assert [type(f.error) for f in report.failed] == [SliceTooShortError]
-            assert [d for d, _ in report.per_day] == [plan.test_dates[1]]
+            assert [d for d, _ in report.per_day] == [plan.steps[1].test_date]
             failures.append([(f.index, f.test_date, f.reason) for f in report.failed])
         assert failures[1] == failures[0]
-        assert failures[0][0][1] == plan.test_dates[0]
+        assert failures[0][0][1] == plan.steps[0].test_date
 
     def test_one_pool_per_comparison_and_grid(self, cpus):
         panel = lead_lag_panel(44, seed=15)
@@ -390,7 +389,7 @@ class TestGridSearch:
             reports = []
             for spec in specs:
                 errors, mse = step_errors[spec.train.learning_rate]
-                failed = [FailedStep(k, plan.test_dates[k], e) for k, e in enumerate(errors)]
+                failed = [FailedStep(k, plan.steps[k].test_date, e) for k, e in enumerate(errors)]
                 reports.append((spec, BacktestReport(spec.kind, [], [], mse, failed)))
             return reports
 
@@ -457,7 +456,7 @@ class TestCompareModels:
     def test_five_model_comparison_runs(self):
         panel = lead_lag_panel(60, seed=14)
         plan = expanding_schedule(panel.dates, 45, 2)
-        cfg = TrainConfig(lookback=5, epochs=3, dropout=0.0, seed=0)
+        cfg = TrainConfig(lookback=5, epochs=3, dropout=0.0)
         small = dict(hidden_size=4, lstm_layers=1, gcn_hidden=3, gcn_out=2,
                      fusion_hidden=(3,), dense_hidden=(5,), cnn_channels=3)
         specs = [

@@ -233,6 +233,26 @@ class TestIngest:
         assert calls == []
         assert afile.read_text() == "keep me\n"
 
+    def test_out_dir_that_refuses_mkdir_is_refused_before_work(self, data_dir, tmp_path,
+                                                               capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        assert main(["ingest", *base_args(data_dir, tmp_path / "locked" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir:") and "Permission denied" in err, err
+        assert calls == []
+
+    def test_refused_command_removes_only_the_directories_it_made(self, data_dir, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept / "new" / "out"
+        assert main(["ingest", *base_args(data_dir, out, tickers="S00,MISSING")]) == 3
+        assert not (kept / "new").exists()
+        assert kept.is_dir()
+
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
         assert main(["ingest", *base_args(data_dir, tmp_path / "out")]) == 0

@@ -164,53 +164,48 @@ class TestDailyReturns:
         assert rel.max() < 1e-14
 
 
-def full_range(panel) -> DateRange:
-    return DateRange(panel.dates[0], panel.dates[-1])
-
-
 class TestScaler:
     def test_extrema(self):
         panel = make_panel([[2.0], [4.0], [6.0]])
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         assert s.x_min[0] == 2.0
         assert s.x_max[0] == 6.0
 
     def test_degenerate_series(self):
         panel = make_panel([[5.0], [5.0]])
         with pytest.raises(DegenerateSeriesError, match="S0"):
-            fit_scaler(panel, full_range(panel))
+            fit_scaler(panel)
 
     def test_three_tickers_three_pairs(self):
         panel = make_panel(np.arange(12.0).reshape(4, 3) + 1.0)
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         assert s.x_min.shape == (3,) and s.x_max.shape == (3,)
 
     def test_fit_range_excludes_other_days(self):
         panel = make_panel([[1.0], [10.0], [20.0], [500.0]])
-        fit = DateRange(panel.dates[1], panel.dates[2])
-        s = fit_scaler(panel, fit)
+        s = fit_scaler(panel.window(DateRange(panel.dates[1], panel.dates[2])))
         assert s.x_min[0] == 10.0 and s.x_max[0] == 20.0
 
     def test_scale_by_hand(self):
         panel = make_panel([[2.0], [4.0], [6.0]])
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         assert scale(s, panel)[:, 0] == pytest.approx([0.0, 0.5, 1.0], abs=0.0)
 
     def test_extrapolation(self):
         panel = make_panel([[2.0], [4.0], [6.0]])
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         beyond = make_panel([[8.0]])
         assert scale(s, beyond)[0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_round_trip(self):
         panel = make_panel([[3.17], [5.99]])
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         back = invert_scale(s, scale(s, panel))
         assert np.all(np.abs(back - panel.close) / panel.close < 1e-9)
 
     def test_ticker_mismatch(self):
         panel = make_panel([[2.0], [6.0]])
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         other = make_panel([[2.0], [6.0]], tickers=["X"])
         with pytest.raises(TickerMismatchError):
             scale(s, other)
@@ -230,7 +225,7 @@ class TestScaler:
         if closes.max() <= closes.min():
             return
         panel = make_panel(closes)
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         scaled = scale(s, panel)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
         back = invert_scale(s, scaled)
@@ -238,7 +233,7 @@ class TestScaler:
 
     def test_monotonic_outside_fit_range(self, rng):
         panel = make_panel(rng.uniform(10, 20, size=(10, 1)))
-        s = fit_scaler(panel, full_range(panel))
+        s = fit_scaler(panel)
         probes = make_panel(np.sort(rng.uniform(1, 40, size=(8, 1)), axis=0))
         scaled = scale(s, probes)[:, 0]
         assert np.all(np.diff(scaled) >= 0.0)

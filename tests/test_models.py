@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from conftest import weekdays
 
 def tiny_config(**kw):
     defaults = dict(learning_rate=0.01, lookback=4, epochs=5, dropout=0.0,
-                    patience=3, val_fraction=0.2, seed=0)
+                    patience=3, val_fraction=0.2)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -494,12 +495,31 @@ class TestTrain:
 
     def test_training_is_deterministic(self, rng):
         ds = make_dataset(rng, n_samples=16)
-        cfg = tiny_config(epochs=5, seed=11, dropout=0.3)
-        a = train(tiny_spec("lstm", train=cfg), ds)
-        b = train(tiny_spec("lstm", train=cfg), ds)
+        cfg = tiny_config(epochs=5, dropout=0.3)
+        a = train(tiny_spec("lstm", train=cfg), ds, seed=11)
+        b = train(tiny_spec("lstm", train=cfg), ds, seed=11)
         assert a.history == b.history
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
+
+    def test_each_validation_forward_is_freed_before_the_next_epoch(self, rng, monkeypatch):
+        # Tensor has no __weakref__ slot, but its backward closure, which holds
+        # the forward's tape, can be weakly referenced
+        real = models.model_forward
+        eval_refs = []
+
+        def spy(*args, training=False, **kwargs):
+            if training:
+                assert all(ref() is None for ref in eval_refs), "a validation tape is alive"
+            out = real(*args, training=training, **kwargs)
+            if not training:
+                eval_refs.append(weakref.ref(out._backward))
+            return out
+
+        monkeypatch.setattr(models, "model_forward", spy)
+        cfg = tiny_config(epochs=4, patience=10)
+        train(tiny_spec("lstm", train=cfg), make_dataset(rng, n_samples=16))
+        assert len(eval_refs) == 4
 
     def test_seed_override_changes_run(self, rng):
         ds = make_dataset(rng, n_samples=16)
@@ -534,4 +554,6 @@ class TestTrain:
         first = result.history[0][0]
         last = result.history[-1][0]
         assert last < first * 0.2
+        # without a validation split every epoch counts as an improvement
+        assert result.best_epoch == 80 and not result.stopped_early
 

@@ -63,18 +63,18 @@ class TestPearson:
     def test_positive_affine_copy(self):
         r = np.random.default_rng(0).normal(0, 0.01, size=(20, 1))
         panel = returns_panel(np.hstack([r, 2.0 * r]))
-        rho = pearson_matrix(panel).rho
+        rho = pearson_matrix(panel)
         assert rho[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negation(self):
         r = np.random.default_rng(1).normal(0, 0.01, size=(20, 1))
-        rho = pearson_matrix(returns_panel(np.hstack([r, -r]))).rho
+        rho = pearson_matrix(returns_panel(np.hstack([r, -r])))
         assert rho[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_direct_transcription(self):
         ri = [0.01, -0.02, 0.03]
         rj = [0.02, 0.01, -0.01]
-        rho = pearson_matrix(returns_panel(np.array([ri, rj]).T)).rho
+        rho = pearson_matrix(returns_panel(np.array([ri, rj]).T))
         assert abs(rho[0, 1] - pearson_oracle(ri, rj)) < 1e-12
 
     def test_oracle_equivalence_random_panels(self, rng):
@@ -82,7 +82,7 @@ class TestPearson:
             n_days = int(rng.integers(3, 30))
             n = int(rng.integers(2, 6))
             block = rng.normal(0, 0.02, size=(n_days, n))
-            rho = pearson_matrix(returns_panel(block)).rho
+            rho = pearson_matrix(returns_panel(block))
             for i in range(n):
                 for j in range(n):
                     expected = 1.0 if i == j else pearson_oracle(block[:, i], block[:, j])
@@ -90,7 +90,7 @@ class TestPearson:
 
     def test_invariants(self, rng):
         block = rng.normal(0, 0.02, size=(40, 5))
-        rho = pearson_matrix(returns_panel(block)).rho
+        rho = pearson_matrix(returns_panel(block))
         assert np.array_equal(rho, rho.T)
         assert np.all(np.diag(rho) == 1.0)
         assert rho.min() >= -1.0 and rho.max() <= 1.0
@@ -99,8 +99,8 @@ class TestPearson:
         block = rng.normal(0, 0.02, size=(30, 3))
         shifted = block.copy()
         shifted[:, 0] = 3.7 * block[:, 0] + 0.002
-        rho_a = pearson_matrix(returns_panel(block)).rho
-        rho_b = pearson_matrix(returns_panel(shifted)).rho
+        rho_a = pearson_matrix(returns_panel(block))
+        rho_b = pearson_matrix(returns_panel(shifted))
         assert np.max(np.abs(rho_a - rho_b)) < 1e-12
 
     def test_zero_variance(self):
@@ -115,13 +115,8 @@ class TestPearson:
 
 
 class TestCorrelationEdges:
-    def make_corr(self, value: float):
-        r = np.random.default_rng(0).normal(0, 0.01, size=30)
-        # two series engineered to a target correlation are overkill here;
-        # patch the matrix directly since correlation_edges only reads rho
-        corr = pearson_matrix(returns_panel(np.stack([r, r + 0.01], axis=1)))
-        corr.rho[0, 1] = corr.rho[1, 0] = value
-        return corr
+    def make_corr(self, value: float) -> np.ndarray:
+        return np.array([[1.0, value], [value, 1.0]])
 
     def test_above_threshold_included(self):
         weights = correlation_edges(self.make_corr(0.71), tau=0.7)
@@ -136,12 +131,12 @@ class TestCorrelationEdges:
 
     def test_masked_abs_rho_symmetric_with_zero_diagonal(self, rng):
         for tau in (0.05, 0.2, 0.4):
-            corr = pearson_matrix(returns_panel(rng.normal(0, 0.02, size=(12, 6))))
-            weights = correlation_edges(corr, tau)
+            rho = pearson_matrix(returns_panel(rng.normal(0, 0.02, size=(12, 6))))
+            weights = correlation_edges(rho, tau)
             assert np.array_equal(weights, weights.T)
             assert np.all(np.diag(weights) == 0.0)
             for i, j in combinations(range(6), 2):
-                strength = abs(corr.rho[i, j])
+                strength = abs(rho[i, j])
                 assert weights[i, j] == (strength if strength > tau else 0.0)
 
     def test_tau_validated(self):

@@ -34,7 +34,7 @@ def test_lead_lag_panel_structure():
     assert panel.tickers[0] == "C0LEAD" and panel.tickers[5] == "C1LEAD"
     assert np.all(panel.close > 0)
 
-    rho = pearson_matrix(daily_returns(panel)).rho
+    rho = pearson_matrix(daily_returns(panel))
     within = [rho[i, j] for i in range(1, 5) for j in range(1, 5) if i < j]
     cross = [abs(rho[i, j]) for i in range(5) for j in range(5, 10)]
     assert min(within) > 0.5  # followers co-move strongly
