@@ -1,4 +1,10 @@
-"""Reverse-mode autodiff over dense float64 arrays.
+"""Reverse-mode autodiff over dense numpy arrays.
+
+A tensor holds float64 data, or float32 data when built from a float32
+array. Only the fused LSTM kernel (`models.lstm_stack`) computes in float32:
+training and prediction of the lstm and hybrid feed it float32 windows, and
+it hands float64 weight gradients back. Parameters, the graph convolution,
+the fusion head, the loss, the gradients and Adam stay float64.
 
 Each op wires a backward closure onto its output tensor; backward() walks
 the recorded graph in reverse topological order and accumulates gradients
@@ -24,7 +30,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor initialized with NaN/Inf")
         self.data = arr
@@ -291,11 +299,13 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    data = x.data * mask
+    # a bool mask and one rounded scale: x * mask * keep equals x * (mask / (1 - rate))
+    mask = rng.random(x.shape) >= rate
+    keep = 1.0 / (1.0 - rate)
+    data = x.data * mask * keep
 
     def bw(g: np.ndarray) -> None:
-        x.add_grad(g * mask)
+        x.add_grad(g * mask * keep)
 
     return Tensor._from_op(data, (x,), bw)
 

@@ -138,8 +138,9 @@ class EarlyStopper:
 # -- fused LSTM stack --------------------------------------------------------
 
 # Cache budget of one time step of the recurrence on one column block: the
-# (4H, n) gate block plus about eight (H, n) state and temporary blocks of
-# float64, so 12 * H * 8 bytes per column (n = 512 at H = 32).
+# (4H, n) gate block plus about eight (H, n) state and temporary blocks, so
+# 12 * H * itemsize bytes per column (n = 1,024 in float32 at H = 32, 512 in
+# float64).
 _LSTM_BLOCK_BYTES = 3 * 2**19
 
 
@@ -153,6 +154,11 @@ def lstm_stack(
     """Stacked LSTM over (B, L, d) input as one fused tape op; returns the
     final hidden state (B, H).
 
+    The kernel computes in the dtype of `x`, float32 or float64: the weights
+    are cast in the transposed copies it makes anyway, and the work arrays,
+    the dropout scale and the output take that dtype. The weight gradients
+    are summed and handed over in float64, the parameters' dtype.
+
     Each layer's fused weights hold the (input, forget, output, candidate)
     gate blocks; hidden and cell states start at zero and inverted dropout
     masks sit between layers in training mode. Forward and backward work on
@@ -161,13 +167,13 @@ def lstm_stack(
     rather than composed from primitive tape ops.
 
     The sequences are independent, so the batch runs through every layer in
-    column blocks of at most `_LSTM_BLOCK_BYTES // (96 * H)` sequences. Each
-    time step makes about a dozen elementwise passes over its blocks; on the
-    whole batch of a full-batch fit (4,400 sequences, 4.5 MB gate blocks at
-    H = 32) every pass would go to memory, on a block it stays in the L2
-    cache. The dropout masks are drawn for the whole batch, in layer order,
-    before the first block, and the backward sums the weight gradients of
-    all blocks.
+    column blocks of at most `_LSTM_BLOCK_BYTES // (12 * itemsize * H)`
+    sequences. Each time step makes about a dozen elementwise passes over its
+    blocks; on the whole batch of a full-batch fit (4,400 sequences, 2.3 MB
+    float32 gate blocks at H = 32) every pass would go to memory, on a block
+    it stays in the L2 cache. The dropout masks are drawn for the whole
+    batch, in layer order, before the first block, and the backward sums the
+    weight gradients of all blocks.
     """
     if not layer_params:
         raise ShapeMismatchError("lstm_stack needs at least one layer")
@@ -184,17 +190,22 @@ def lstm_stack(
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
 
+    dtype = x.data.dtype
     weights = [
-        (np.ascontiguousarray(wx.data.T), np.ascontiguousarray(wh.data.T), b.data[:, None])
+        (np.ascontiguousarray(wx.data.T, dtype=dtype),
+         np.ascontiguousarray(wh.data.T, dtype=dtype),
+         b.data.astype(dtype, copy=False)[:, None])
         for wx, wh, b in layer_params
     ]  # (4H, d), (4H, H), (4H, 1)
+    # bool keep-masks and one rounded scale: h * mask * keep is bitwise
+    # h * (mask / (1 - rate)) in float64
     masks: list[np.ndarray | None] = [None] * (n_layers - 1)
     if training and dropout_rate > 0.0:
-        masks = [(rng.random((length, H, n_batch)) >= dropout_rate) / (1.0 - dropout_rate)
-                 for _ in masks]
-    width = max(1, _LSTM_BLOCK_BYTES // (96 * H))
+        masks = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks]
+    keep = dtype.type(1.0 / (1.0 - dropout_rate))
+    width = max(1, _LSTM_BLOCK_BYTES // (12 * dtype.itemsize * H))
     blocks = []  # (columns, per-layer caches) of each column block
-    h_last = np.empty((n_batch, H))
+    h_last = np.empty((n_batch, H), dtype=dtype)
     for lo in range(0, n_batch, width):
         cols = slice(lo, lo + width)
         # time-major, feature-by-batch blocks: inp[t] is (d, n) and contiguous
@@ -202,10 +213,10 @@ def lstm_stack(
         n = inp.shape[2]
         caches = []
         for layer, (wxT, whT, bias) in enumerate(weights):
-            gates = np.empty((length, 4 * H, n))
-            cs = np.empty((length, H, n))
-            tcs = np.empty((length, H, n))
-            hs = np.empty((length, H, n))
+            gates = np.empty((length, 4 * H, n), dtype=dtype)
+            cs = np.empty((length, H, n), dtype=dtype)
+            tcs = np.empty((length, H, n), dtype=dtype)
+            hs = np.empty((length, H, n), dtype=dtype)
             for t in range(length):
                 z = gates[t]
                 if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
@@ -234,26 +245,27 @@ def lstm_stack(
                 np.multiply(o, tcs[t], out=hs[t])
             caches.append((inp, gates, cs, tcs, hs))
             if layer < n_layers - 1:
-                inp = hs if masks[layer] is None else hs * masks[layer][:, :, cols]
+                inp = hs if masks[layer] is None else hs * masks[layer][:, :, cols] * keep
         h_last[cols] = hs[length - 1].T
         blocks.append((cols, caches))
 
     def bw(grad: np.ndarray) -> None:
-        dw = [(np.zeros_like(wxT), np.zeros((4 * H, H)), np.zeros(4 * H))
-              for wxT, _, _ in weights]  # (dwxT, dwhT, db) summed over blocks
-        dx = np.empty(x.shape) if x.requires_grad else None
+        grad = grad.astype(dtype, copy=False)
+        dw = [(np.zeros(wxT.shape), np.zeros((4 * H, H)), np.zeros(4 * H))
+              for wxT, _, _ in weights]  # float64 (dwxT, dwhT, db) summed over blocks
+        dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
         for cols, caches in blocks:
             upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
             for layer in range(n_layers - 1, -1, -1):
                 inp_l, gates, cs, tcs, hs_l = caches[layer]
-                wx, wh, _ = layer_params[layer]
+                wx, wh = (p.data.astype(dtype, copy=False) for p in layer_params[layer][:2])
                 dwxT, dwhT, db = dw[layer]
                 d, n = inp_l.shape[1:]
                 mask = None if layer == n_layers - 1 else masks[layer]
                 need_dx = layer > 0 or x.requires_grad
-                dx_seq = np.empty((length, d, n)) if need_dx else None
-                dz = np.empty((4 * H, n))
-                dc = np.zeros((H, n))
+                dx_seq = np.empty((length, d, n), dtype=dtype) if need_dx else None
+                dz = np.empty((4 * H, n), dtype=dtype)
+                dc = np.zeros((H, n), dtype=dtype)
                 dh_carry: np.ndarray | None = None
                 for t in range(length - 1, -1, -1):
                     z = gates[t]
@@ -265,7 +277,7 @@ def lstm_stack(
                     else:
                         dh = upper_dx[t]
                         if mask is not None:
-                            dh = dh * mask[t][:, cols]
+                            dh = dh * mask[t][:, cols] * keep
                         if dh_carry is not None:
                             dh = dh + dh_carry
                     do = dh * tc
@@ -280,11 +292,11 @@ def lstm_stack(
 
                     if t > 0:
                         dwhT += dz @ hs_l[t - 1].T
-                        dh_carry = wh.data @ dz
+                        dh_carry = wh @ dz
                     dwxT += dz @ inp_l[t].T
                     db += dz.sum(axis=1)
                     if need_dx:
-                        np.matmul(wx.data, dz, out=dx_seq[t])
+                        np.matmul(wx, dz, out=dx_seq[t])
                     dc *= f
                 upper_dx = dx_seq
             if dx is not None:
@@ -510,6 +522,14 @@ def _as_params(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
 
 
+def _windows(spec: ModelSpec, inputs: np.ndarray) -> Tensor:
+    """(B, L, N) windows as `train` and `predict` feed them to `model_forward`:
+    float32 for the lstm and hybrid, whose LSTM kernel then computes in
+    float32, float64 for the other kinds."""
+    dtype = np.float32 if spec.kind in ("hybrid", "lstm") else np.float64
+    return Tensor(np.asarray(inputs, dtype=dtype))
+
+
 def train(
     spec: ModelSpec,
     dataset: WindowDataset,
@@ -523,6 +543,8 @@ def train(
     runs on the rest until the epoch cap, or until validation loss stops
     improving for `patience` consecutive epochs. The returned parameters are
     the best-validation snapshot, or the last epoch's without a split.
+    Parameters, gradients and Adam are float64; the lstm and hybrid run
+    their LSTM kernel on float32 windows.
     `seed` draws the initialization, the shuffles and the dropout masks;
     `initial_params` warm-starts from an earlier fit instead of a fresh
     seeded initialization.
@@ -550,7 +572,7 @@ def train(
 
     train_x = dataset.inputs[:n_train]
     train_y = dataset.targets[:n_train]
-    val_x = Tensor(dataset.inputs[n_train:]) if n_val else None
+    val_x = _windows(spec, dataset.inputs[n_train:]) if n_val else None
     val_y = dataset.targets[n_train:] if n_val else None
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -574,7 +596,7 @@ def train(
         total = 0.0
         for lo in range(0, n_train, batch):
             idx = order[lo : lo + batch]
-            x = Tensor(train_x[idx])
+            x = _windows(spec, train_x[idx])
             y = Tensor(train_y[idx])
             pred = model_forward(x, spec, params, a_hat, training=True, rng=rng)
             loss = mse_loss(pred, y)
@@ -612,7 +634,7 @@ def predict(
     a_hat: np.ndarray | None = None,
 ) -> np.ndarray:
     """Eval-mode predictions (N,) for one (L, N) window."""
-    x = Tensor(np.asarray(window, dtype=np.float64)[None, :, :])
+    x = _windows(spec, np.asarray(window)[None, :, :])
     out = model_forward(x, spec, params, a_hat, training=False)
     return out.data[0].copy()
 

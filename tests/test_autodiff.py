@@ -58,6 +58,14 @@ class TestForwardOps:
         with pytest.raises(ValueError):
             Tensor(np.array([1.0, np.nan]))
 
+    def test_tensor_keeps_float32_and_makes_the_rest_float64(self):
+        x32 = np.ones((2, 2), dtype=np.float32)
+        assert Tensor(x32).data is x32
+        x64 = np.ones(3)
+        assert Tensor(x64).data is x64
+        for data in ([1, 2], np.ones(2, dtype=np.float16), np.arange(3), 2.5):
+            assert Tensor(data).data.dtype == np.float64
+
 
 class TestMseLoss:
     def test_zero_when_equal(self):
@@ -221,3 +229,16 @@ class TestDropout:
         zeroed = out.data == 0.0
         assert np.all(x.grad[zeroed] == 0.0)
         assert np.all(x.grad[~zeroed] == 2.0)
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_bool_mask_matches_the_float_mask_bitwise(self, rng, rate):
+        # the float mask (r >= rate) / (1 - rate) holds 0 and the rounded
+        # 1 / (1 - rate), so a bool mask times that scalar gives the same bits
+        x = t(rng.normal(size=(50, 40)), grad=True)
+        target = rng.normal(size=(50, 40))
+        old_mask = (np.random.Generator(np.random.PCG64(5)).random(x.shape) >= rate) / (1.0 - rate)
+        out = dropout(x, rate, training=True, rng=np.random.Generator(np.random.PCG64(5)))
+        assert np.array_equal(out.data, x.data * old_mask)
+        backward(mse_loss(out, t(target)))
+        upstream = (2.0 / out.data.size) * np.ones(()) * (x.data * old_mask - target)
+        assert np.array_equal(x.grad, upstream * old_mask)

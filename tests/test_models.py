@@ -21,6 +21,7 @@ from stockcast.models import (
     linreg_fit,
     lstm_stack,
     model_forward,
+    predict,
     train,
 )
 
@@ -153,38 +154,53 @@ class TestLstm:
         assert not np.allclose(eval_out.data, train_out.data)
 
 
+def two_layer_case(rng, n_batch, d=1, hidden=4, length=5, dtype=np.float64):
+    """float64 weights of a 2-layer stack, an input `x` of `dtype` (both as
+    tracked tensors in one dict) and a (n_batch, hidden) target."""
+    shapes = {"lstm0.wx": (d, 4 * hidden), "lstm0.wh": (hidden, 4 * hidden),
+              "lstm0.b": (4 * hidden,), "lstm1.wx": (hidden, 4 * hidden),
+              "lstm1.wh": (hidden, 4 * hidden), "lstm1.b": (4 * hidden,)}
+    params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    x = rng.normal(scale=0.5, size=(n_batch, length, d)).astype(dtype)
+    params["x"] = Tensor(x, requires_grad=True)
+    return params, rng.normal(size=(n_batch, hidden))
+
+
+def two_layer_triples(params):
+    return [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
+            for k in range(2)]
+
+
 class TestLstmColumnBlocks:
     """lstm_stack runs the batch in column blocks; any split must give the
     result of one block over the whole batch."""
 
-    def make(self, rng, n_batch, d=1, hidden=4, length=5):
-        shapes = {"lstm0.wx": (d, 4 * hidden), "lstm0.wh": (hidden, 4 * hidden),
-                  "lstm0.b": (4 * hidden,), "lstm1.wx": (hidden, 4 * hidden),
-                  "lstm1.wh": (hidden, 4 * hidden), "lstm1.b": (4 * hidden,),
-                  "x": (n_batch, length, d)}
-        params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
-                  for name, shape in shapes.items()}
-        return params, rng.normal(size=(n_batch, hidden))
+    # set from each dtype's precision: about 5,000 float64 ulps, and about
+    # 80 float32 ulps (eps 1.2e-7) for a different summation order
+    RTOL = {np.float64: 1e-12, np.float32: 1e-5}
 
     def loss(self, monkeypatch, width, params, target, dropout_rate):
         """MSE of the stack's output, run in blocks of `width` sequences, with
         dropout masks drawn from a generator reseeded on every call; returns the
         loss and that generator."""
         hidden = params["lstm0.wh"].shape[0]
-        # the block budget holds 12 float64 rows of `hidden` per column
-        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * 8 * hidden)
-        triples = [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
-                   for k in range(2)]
+        # the block budget holds 12 rows of `hidden` per column, in the input's dtype
+        itemsize = params["x"].data.itemsize
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * itemsize * hidden)
         masks = np.random.Generator(np.random.PCG64(7))
-        h = lstm_stack(params["x"], triples, dropout_rate, dropout_rate > 0, masks)
+        h = lstm_stack(params["x"], two_layer_triples(params), dropout_rate, dropout_rate > 0,
+                       masks)
         return mse_loss(h, Tensor(target)), masks
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_any_split_matches_one_block(self, monkeypatch, rng, d):
         # 37 sequences in blocks of 16 are three blocks, the last one ragged;
-        # a batch of 10 or of 1 fits in one block
-        for n_batch in (37, 10, 1):
-            params, target = self.make(rng, n_batch, d)
+        # a batch of 10 or of 1 fits in one block; float32 runs the 37 again
+        for n_batch, dtype in ((37, np.float64), (10, np.float64), (1, np.float64),
+                               (37, np.float32)):
+            rtol = self.RTOL[dtype]
+            params, target = two_layer_case(rng, n_batch, d, dtype=dtype)
             for rate in (0.0, 0.5):
                 runs = []
                 for width in (n_batch, 16):
@@ -192,19 +208,232 @@ class TestLstmColumnBlocks:
                     grads = {k: g.copy() for k, g in backward(loss, params).items()}
                     runs.append((loss.item(), grads, masks.random()))
                 (loss_one, grads_one, next_one), (loss_blk, grads_blk, next_blk) = runs
-                assert loss_blk == pytest.approx(loss_one, rel=1e-12, abs=0)
+                assert loss_blk == pytest.approx(loss_one, rel=rtol, abs=0)
                 for name in params:
-                    np.testing.assert_allclose(grads_blk[name], grads_one[name], rtol=1e-12,
-                                               atol=1e-15, err_msg=f"{name} B={n_batch}")
+                    # float64 keeps its absolute floor; float32 takes one from
+                    # the tensor's gradient scale, as round-off is absolute
+                    atol = 1e-15 if dtype == np.float64 else rtol * np.abs(grads_one[name]).max()
+                    np.testing.assert_allclose(grads_blk[name], grads_one[name], rtol=rtol,
+                                               atol=atol, err_msg=f"{name} B={n_batch} {dtype}")
                 # the masks are the same draws: the stream after them is too
                 assert next_blk == next_one
 
     def test_gradients_across_blocks_match_finite_differences(self, monkeypatch, rng):
-        params, target = self.make(rng, 37)
+        params, target = two_layer_case(rng, 37)
         err = gradient_check(
             lambda p: self.loss(monkeypatch, 16, p, target, 0.5)[0], params, max_coords=24
         )
         assert err < 1e-4
+
+
+def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, rng=None):
+    """lstm_stack as it was before it followed its input's dtype: float64 work
+    arrays and float dropout masks (r >= rate) / (1 - rate), in column blocks of
+    `_LSTM_BLOCK_BYTES // (96 * H)`. The bitwise reference for float64 calls."""
+    n_batch, length, _ = x.shape
+    n_layers = len(layer_params)
+    H = layer_params[0][1].shape[0]
+
+    weights = [
+        (np.ascontiguousarray(wx.data.T), np.ascontiguousarray(wh.data.T), b.data[:, None])
+        for wx, wh, b in layer_params
+    ]  # (4H, d), (4H, H), (4H, 1)
+    masks: list[np.ndarray | None] = [None] * (n_layers - 1)
+    if training and dropout_rate > 0.0:
+        masks = [(rng.random((length, H, n_batch)) >= dropout_rate) / (1.0 - dropout_rate)
+                 for _ in masks]
+    width = max(1, models._LSTM_BLOCK_BYTES // (96 * H))
+    blocks = []  # (columns, per-layer caches) of each column block
+    h_last = np.empty((n_batch, H))
+    for lo in range(0, n_batch, width):
+        cols = slice(lo, lo + width)
+        # time-major, feature-by-batch blocks: inp[t] is (d, n) and contiguous
+        inp = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
+        n = inp.shape[2]
+        caches = []
+        for layer, (wxT, whT, bias) in enumerate(weights):
+            gates = np.empty((length, 4 * H, n))
+            cs = np.empty((length, H, n))
+            tcs = np.empty((length, H, n))
+            hs = np.empty((length, H, n))
+            for t in range(length):
+                z = gates[t]
+                if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
+                    np.multiply(wxT, inp[t], out=z)
+                else:
+                    np.matmul(wxT, inp[t], out=z)
+                if t > 0:
+                    z += whT @ hs[t - 1]
+                z += bias
+                zs = z[: 3 * H]  # sigmoid gates, computed as 0.5 * (tanh(z/2) + 1)
+                np.multiply(zs, 0.5, out=zs)
+                np.tanh(zs, out=zs)
+                zs += 1.0
+                np.multiply(zs, 0.5, out=zs)
+                zg = z[3 * H :]  # candidate
+                np.tanh(zg, out=zg)
+
+                i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+                c = cs[t]
+                if t > 0:
+                    np.multiply(f, cs[t - 1], out=c)
+                    c += i * g
+                else:
+                    np.multiply(i, g, out=c)
+                np.tanh(c, out=tcs[t])
+                np.multiply(o, tcs[t], out=hs[t])
+            caches.append((inp, gates, cs, tcs, hs))
+            if layer < n_layers - 1:
+                inp = hs if masks[layer] is None else hs * masks[layer][:, :, cols]
+        h_last[cols] = hs[length - 1].T
+        blocks.append((cols, caches))
+
+    def bw(grad: np.ndarray) -> None:
+        dw = [(np.zeros_like(wxT), np.zeros((4 * H, H)), np.zeros(4 * H))
+              for wxT, _, _ in weights]  # (dwxT, dwhT, db) summed over blocks
+        dx = np.empty(x.shape) if x.requires_grad else None
+        for cols, caches in blocks:
+            upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
+            for layer in range(n_layers - 1, -1, -1):
+                inp_l, gates, cs, tcs, hs_l = caches[layer]
+                wx, wh, _ = layer_params[layer]
+                dwxT, dwhT, db = dw[layer]
+                d, n = inp_l.shape[1:]
+                mask = None if layer == n_layers - 1 else masks[layer]
+                need_dx = layer > 0 or x.requires_grad
+                dx_seq = np.empty((length, d, n)) if need_dx else None
+                dz = np.empty((4 * H, n))
+                dc = np.zeros((H, n))
+                dh_carry: np.ndarray | None = None
+                for t in range(length - 1, -1, -1):
+                    z = gates[t]
+                    i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+                    tc = tcs[t]
+                    if layer == n_layers - 1:
+                        # the stack only exposes the last hidden state
+                        dh = grad[cols].T if t == length - 1 else dh_carry
+                    else:
+                        dh = upper_dx[t]
+                        if mask is not None:
+                            dh = dh * mask[t][:, cols]
+                        if dh_carry is not None:
+                            dh = dh + dh_carry
+                    do = dh * tc
+                    dc += dh * (o * (1.0 - tc * tc))
+                    dz[:H] = (dc * g) * (i * (1.0 - i))
+                    if t > 0:
+                        dz[H : 2 * H] = (dc * cs[t - 1]) * (f * (1.0 - f))
+                    else:
+                        dz[H : 2 * H] = 0.0  # initial cell state is a constant
+                    dz[2 * H : 3 * H] = do * (o * (1.0 - o))
+                    dz[3 * H :] = (dc * i) * (1.0 - g * g)
+
+                    if t > 0:
+                        dwhT += dz @ hs_l[t - 1].T
+                        dh_carry = wh.data @ dz
+                    dwxT += dz @ inp_l[t].T
+                    db += dz.sum(axis=1)
+                    if need_dx:
+                        np.matmul(wx.data, dz, out=dx_seq[t])
+                    dc *= f
+                upper_dx = dx_seq
+            if dx is not None:
+                dx[cols] = upper_dx.transpose(2, 0, 1)
+        for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
+            if wx.requires_grad:
+                wx.add_grad(dwxT.T.copy())
+            if wh.requires_grad:
+                wh.add_grad(dwhT.T.copy())
+            if b.requires_grad:
+                b.add_grad(db)
+        if dx is not None:
+            x.add_grad(dx)
+
+    parents = (x, *(t for triple in layer_params for t in triple))
+    return Tensor._from_op(h_last, parents, bw)
+
+
+class TestLstmDtype:
+    """lstm_stack computes in its input's dtype; train and predict give it
+    float32 windows for the lstm and hybrid only."""
+
+    def run(self, kernel, x, params, target, rate):
+        """The kernel's output and the loss gradients of the weights (and of
+        `x`, when it is tracked), with masks from a freshly seeded generator."""
+        h = kernel(x, two_layer_triples(params), rate, rate > 0,
+                   np.random.Generator(np.random.PCG64(7)))
+        out = h.data.copy()
+        tracked = {**params, "x": x} if x.requires_grad else params
+        grads = {k: g.copy() for k, g in backward(mse_loss(h, Tensor(target)), tracked).items()}
+        return out, grads
+
+    def test_float32_agrees_with_float64(self, rng):
+        # 1,100 sequences at H = 32 are 3 column blocks in float64 and 2 in float32
+        params = init_params(tiny_spec("lstm", hidden_size=32), 1, 11, rng)
+        seq = rng.uniform(0.0, 1.0, size=(1100, 11, 1))
+        target = rng.normal(size=(1100, 32))
+        h64, g64 = self.run(lstm_stack, Tensor(seq), params, target, 0.5)
+        h32, g32 = self.run(lstm_stack, Tensor(seq.astype(np.float32)), params, target, 0.5)
+        assert h64.dtype == np.float64 and h32.dtype == np.float32
+        # hidden states near 0 carry absolute round-off, so the floor is 1e-5 of their scale
+        np.testing.assert_allclose(h32, h64, rtol=1e-5, atol=1e-5 * np.abs(h64).max())
+        for name in (f"lstm{k}.{w}" for k in range(2) for w in ("wx", "wh", "b")):
+            assert g32[name].dtype == np.float64
+            scale = np.abs(g64[name]).max()
+            assert np.abs(g32[name] - g64[name]).max() <= 1e-4 * scale, name
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
+    def test_float64_is_bitwise_the_float64_only_kernel(self, monkeypatch, rng, rate):
+        # 37 sequences in 16-sequence blocks, a width-3 input and a tracked x, so
+        # every path of the kernel runs; the bool masks times the rounded
+        # 1 / (1 - rate) give the float masks' bits at every rate
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 96 * 4)
+        params, target = two_layer_case(rng, 37, d=3)
+        x = params.pop("x")
+        h_new, g_new = self.run(lstm_stack, x, params, target, rate)
+        h_old, g_old = self.run(float64_only_lstm_stack, x, params, target, rate)
+        assert np.array_equal(h_new, h_old)
+        assert g_new.keys() == g_old.keys()
+        for name in g_old:
+            assert np.array_equal(g_new[name], g_old[name]), name
+
+    @pytest.mark.parametrize("kind", ["hybrid", "lstm"])
+    def test_train_and_predict_run_the_lstm_in_float32(self, monkeypatch, rng, kind):
+        real = models.lstm_stack
+        calls = []
+
+        def spy(x, layer_params, dropout_rate=0.0, training=False, rng=None):
+            calls.append((training, x.data.dtype))
+            return real(x, layer_params, dropout_rate, training, rng)
+
+        monkeypatch.setattr(models, "lstm_stack", spy)
+        spec = tiny_spec(kind, train=tiny_config(epochs=3, patience=10, dropout=0.3))
+        ds = make_dataset(rng, n_samples=16)
+        a_hat = edgeless_adjacency(3)
+        result = train(spec, ds, a_hat)
+        pred = predict(spec, result.params, ds.inputs[-1], a_hat)
+        # 3 epochs of one training batch and one validation forward, then predict
+        assert calls == [(True, np.float32), (False, np.float32)] * 3 + [(False, np.float32)]
+        assert pred.dtype == np.float64
+        assert all(p.data.dtype == np.float64 for p in result.params.values())
+
+    @pytest.mark.parametrize("kind", ["dense", "cnn1d", "linreg"])
+    def test_other_kinds_stay_float64(self, monkeypatch, rng, kind):
+        real = models.model_forward
+        dtypes = set()
+
+        def spy(windows, *args, **kwargs):
+            dtypes.add(windows.data.dtype)
+            return real(windows, *args, **kwargs)
+
+        monkeypatch.setattr(models, "model_forward", spy)
+        spec = tiny_spec(kind, train=tiny_config(epochs=3, patience=10))
+        ds = make_dataset(rng, n_samples=16)
+        result = train(spec, ds)
+        pred = predict(spec, result.params, ds.inputs[-1])
+        assert dtypes == {np.dtype(np.float64)}
+        expected = real(Tensor(ds.inputs[-1:]), spec, result.params).data[0]
+        assert np.array_equal(pred, expected)
 
 
 class TestGcn:
