@@ -18,6 +18,7 @@ import contextlib
 import csv
 import sys
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,6 +59,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_column(values, first: int) -> list[str]:
+    """`_fmt` of every entry from index `first` on, with "" before it."""
+    return [""] * min(first, len(values)) + list(map(repr, values[first:].tolist()))
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -94,20 +100,16 @@ def cmd_ingest(cfg: RunConfig) -> Outputs:
         (s.ticker, len(s.rows), s.dates[0].isoformat(), s.dates[-1].isoformat())
         for s in series
     ]
+    days = [day.isoformat() for day in panel.dates]
     rows = []
     for j, ticker in enumerate(panel.tickers):
-        ma50 = moving_average(norm[:, j], MA_SHORT)
-        ma200 = moving_average(norm[:, j], MA_LONG)
-        for t, day in enumerate(panel.dates):
-            rows.append(
-                (
-                    day.isoformat(),
-                    ticker,
-                    _fmt(norm[t, j]),
-                    _fmt(ma50[t]) if t >= MA_SHORT - 1 else "",
-                    _fmt(ma200[t]) if t >= MA_LONG - 1 else "",
-                )
-            )
+        rows.extend(zip(
+            days,
+            repeat(ticker),
+            _fmt_column(norm[:, j], 0),
+            _fmt_column(moving_average(norm[:, j], MA_SHORT), MA_SHORT - 1),
+            _fmt_column(moving_average(norm[:, j], MA_LONG), MA_LONG - 1),
+        ))
     return {
         "panel_summary.csv": (("ticker", "rows", "first_date", "last_date"), summary),
         "ma_prices.csv": (("date", "ticker", "norm_close", "ma50", "ma200"), rows),

@@ -8,9 +8,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSeriesError,
@@ -108,10 +109,13 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
     """Parse one ticker's CSV export into a validated, date-sorted series.
 
     The header must be exactly ``date,open,high,low,close,adj_close,volume``;
-    dates are ISO-8601, numbers use a period decimal separator.
+    dates are ISO-8601, numbers use a period decimal separator. Bytes are
+    decoded as UTF-8 with an optional byte-order mark; blank lines are skipped.
+    The checks run over the whole file at once; when one fails, the first
+    faulty row in file order is reported.
     """
     if isinstance(content, bytes):
-        content = content.decode("utf-8")
+        content = content.decode("utf-8-sig")
     reader = csv.reader(io.StringIO(content))
     try:
         header = next(reader)
@@ -122,12 +126,42 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
             f"{ticker}: bad header {header!r}, expected {','.join(OHLCV_COLUMNS)}"
         )
 
-    days: list[date] = []
-    rows: list[list[float]] = []
+    records = list(reader)
+    linenos: Sequence[int] = range(2, len(records) + 2)
+    if not all(records):  # blank lines keep their place in the line count
+        linenos = [n for n, fields in zip(linenos, records) if fields]
+        records = [fields for fields in records if fields]
+    if any(len(fields) != len(OHLCV_COLUMNS) for fields in records):
+        _raise_first_fault(ticker, records, linenos)
+    try:
+        days = [date.fromisoformat(fields[0].strip()) for fields in records]
+        # numpy converts each string with float(), so values and accepted
+        # spellings are those of the row checks
+        table = np.array([fields[1:] for fields in records], dtype=np.float64)
+    except ValueError:
+        _raise_first_fault(ticker, records, linenos)
+    table = table.reshape(len(records), len(OHLCV_COLUMNS) - 1)
+    if (
+        not np.isfinite(table).all()
+        or not (table[:, :-1] > 0).all()
+        or not (table[:, -1] >= 0).all()
+        or len(set(days)) != len(days)
+    ):
+        _raise_first_fault(ticker, records, linenos)
+
+    order = sorted(range(len(days)), key=days.__getitem__)
+    return RawSeries(ticker=ticker, dates=[days[i] for i in order], rows=table[order])
+
+
+def _raise_first_fault(
+    ticker: str, records: list[list[str]], linenos: Sequence[int]
+) -> NoReturn:
+    """Raise the error of the first faulty row in file order. Within a row the
+    checks run in the order: field count, unparsable field, non-finite value,
+    duplicate date (at its later occurrence), non-positive price, negative
+    volume. Called only after a whole-file check has failed."""
     seen: set[date] = set()
-    for lineno, fields in enumerate(reader, start=2):
-        if not fields:
-            continue  # blank trailing line
+    for lineno, fields in zip(linenos, records):
         if len(fields) != len(OHLCV_COLUMNS):
             raise MalformedRowError(
                 f"{ticker} line {lineno}: expected {len(OHLCV_COLUMNS)} fields, got {len(fields)}"
@@ -147,12 +181,7 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
                 raise NonPositivePriceError(f"{ticker} line {lineno}: {field} = {value}")
         if values[-1] < 0:
             raise MalformedRowError(f"{ticker} line {lineno}: negative volume")
-        days.append(day)
-        rows.append(values)
-
-    order = sorted(range(len(days)), key=days.__getitem__)
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(OHLCV_COLUMNS) - 1)
-    return RawSeries(ticker=ticker, dates=[days[i] for i in order], rows=table[order])
+    raise AssertionError(f"{ticker}: a whole-file check failed but every row passes")
 
 
 def align_panel(series: Iterable[RawSeries]) -> PricePanel:
@@ -236,9 +265,9 @@ def make_windows(scaled: np.ndarray, dates: Sequence[date], lookback: int) -> Wi
     if n_samples < 1:
         raise SliceTooShortError(f"{n_days} days cannot fit lookback {lookback} + target")
 
-    inputs = np.empty((n_samples, lookback, scaled.shape[1]), dtype=np.float64)
-    for k in range(n_samples):
-        inputs[k] = scaled[k : k + lookback]
+    # view (n_samples + 1, N, lookback) -> one (S, L, N) copy
+    windows = sliding_window_view(scaled, lookback, axis=0)[:n_samples]
+    inputs = np.ascontiguousarray(windows.transpose(0, 2, 1))
     targets = scaled[lookback:].copy()
     return WindowDataset(
         lookback=lookback,

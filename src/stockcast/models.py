@@ -144,6 +144,11 @@ class EarlyStopper:
 _LSTM_BLOCK_BYTES = 3 * 2**19
 
 
+def _lstm_block_width(dtype: np.dtype, H: int) -> int:
+    """Sequences per column block of `lstm_stack` for work arrays of `dtype`."""
+    return max(1, _LSTM_BLOCK_BYTES // (12 * dtype.itemsize * H))
+
+
 def lstm_stack(
     x: Tensor,
     layer_params: list[tuple[Tensor, Tensor, Tensor]],
@@ -203,7 +208,7 @@ def lstm_stack(
     if training and dropout_rate > 0.0:
         masks = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks]
     keep = dtype.type(1.0 / (1.0 - dropout_rate))
-    width = max(1, _LSTM_BLOCK_BYTES // (12 * dtype.itemsize * H))
+    width = _lstm_block_width(dtype, H)
     blocks = []  # (columns, per-layer caches) of each column block
     h_last = np.empty((n_batch, H), dtype=dtype)
     for lo in range(0, n_batch, width):

@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 from datetime import date
 
 import numpy as np
@@ -13,10 +16,14 @@ from stockcast.errors import (
     NonPositivePriceError,
     PanelTooShortError,
     SliceTooShortError,
+    StockcastError,
     TickerMismatchError,
 )
 from stockcast.market_data import (
+    OHLCV_COLUMNS,
+    PRICE_FIELDS,
     DateRange,
+    RawSeries,
     align_panel,
     daily_returns,
     fit_scaler,
@@ -92,6 +99,135 @@ class TestParseOhlcv:
     def test_accepts_bytes(self):
         series = parse_ohlcv_csv(csv_for(["2005-01-03,1,1,1,1,1,10"]).encode(), "A")
         assert len(series.rows) == 1
+
+    def test_accepts_a_byte_order_mark(self):
+        # spreadsheet programs save UTF-8 CSVs with a leading BOM
+        content = csv_for(["2005-01-03,1,1,1,1,1,10"]).encode("utf-8-sig")
+        series = parse_ohlcv_csv(content, "A")
+        assert series.dates == [date(2005, 1, 3)]
+
+    @pytest.mark.parametrize("first, second, error, message", [
+        ("2005-01-03,abc,1,1,1,1,10", "2005-01-05,1,1,1,1,1,-10",
+         MalformedRowError, "A line 3: could not convert"),
+        ("2005-01-03,1,1,1,1,1,-10", "2005-01-05,abc,1,1,1,1,10",
+         MalformedRowError, "A line 3: negative volume"),
+        ("2005-01-03,1,1,1,1,1", "2005-01-05,1,1,0,1,1,10",
+         MalformedRowError, "A line 3: expected 7 fields, got 6"),
+        ("2005-01-03,1,1,0,1,1,10", "2005-01-05,1,1,1,1,1",
+         NonPositivePriceError, "A line 3: low = 0.0"),
+    ])
+    def test_first_faulty_row_in_file_order_wins(self, first, second, error, message):
+        # line 2 is fine, a blank line 4 still counts
+        rows = ["2005-01-04,1,1,1,1,1,10", first, "", second]
+        with pytest.raises(error, match=f"^{message}"):
+            parse_ohlcv_csv(csv_for(rows), "A")
+
+
+def row_loop_parse_ohlcv_csv(content: str, ticker: str) -> RawSeries:
+    """parse_ohlcv_csv as it was before its checks ran over the whole file: one
+    loop over the rows with a float() per field. The reference for every file
+    and every error."""
+    reader = csv.reader(io.StringIO(content))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRowError(f"{ticker}: empty file") from None
+    if tuple(h.strip() for h in header) != OHLCV_COLUMNS:
+        raise MalformedRowError(
+            f"{ticker}: bad header {header!r}, expected {','.join(OHLCV_COLUMNS)}"
+        )
+
+    days: list[date] = []
+    rows: list[list[float]] = []
+    seen: set[date] = set()
+    for lineno, fields in enumerate(reader, start=2):
+        if not fields:
+            continue  # blank trailing line
+        if len(fields) != len(OHLCV_COLUMNS):
+            raise MalformedRowError(
+                f"{ticker} line {lineno}: expected {len(OHLCV_COLUMNS)} fields, got {len(fields)}"
+            )
+        try:
+            day = date.fromisoformat(fields[0].strip())
+            values = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise MalformedRowError(f"{ticker} line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise MalformedRowError(f"{ticker} line {lineno}: non-finite value")
+        if day in seen:
+            raise DuplicateDateError(f"{ticker}: duplicate date {day.isoformat()}")
+        seen.add(day)
+        for field, value in zip(PRICE_FIELDS, values):
+            if value <= 0:
+                raise NonPositivePriceError(f"{ticker} line {lineno}: {field} = {value}")
+        if values[-1] < 0:
+            raise MalformedRowError(f"{ticker} line {lineno}: negative volume")
+        days.append(day)
+        rows.append(values)
+
+    order = sorted(range(len(days)), key=days.__getitem__)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(OHLCV_COLUMNS) - 1)
+    return RawSeries(ticker=ticker, dates=[days[i] for i in order], rows=table[order])
+
+
+# price spellings: shortest repr, fixed 6 decimals, a whole number
+_SPELL = (repr, "{:.6f}".format, lambda v: str(round(v)))
+
+
+@st.composite
+def ohlcv_files(draw) -> str:
+    """A valid OHLCV file in shuffled date order, then up to three faults on
+    random rows: a dropped field, "abc", "nan" or "0" in a field, a negative
+    volume, another row's date, a padded field or a blank line."""
+    n = draw(st.integers(0, 10))
+    ordinals = draw(st.lists(st.integers(732000, 732060), min_size=n, max_size=n, unique=True))
+    price = st.floats(min_value=0.01, max_value=1e5)
+    rows = []
+    for ordinal in ordinals:
+        prices = [draw(st.sampled_from(_SPELL))(draw(price)) for _ in PRICE_FIELDS]
+        volume = draw(st.sampled_from(_SPELL))(draw(st.floats(min_value=0, max_value=1e9)))
+        rows.append([date.fromordinal(ordinal).isoformat(), *prices, volume])
+    blanks = set()
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        field = draw(st.integers(0, len(OHLCV_COLUMNS) - 1))
+        fault = draw(st.sampled_from(["drop", "abc", "nan", "0", "volume", "date", "pad", "blank"]))
+        if fault == "drop":
+            del rows[k][min(field, len(rows[k]) - 1)]
+        elif fault in ("abc", "nan", "0"):
+            rows[k][min(field, len(rows[k]) - 1)] = fault
+        elif fault == "volume":
+            rows[k][-1] = "-" + rows[k][-1]
+        elif fault == "date":
+            rows[k][0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif fault == "pad":
+            i = min(field, len(rows[k]) - 1)
+            rows[k][i] = f"  {rows[k][i]} "
+        else:
+            blanks.add(k)
+    lines = []
+    for k, fields in enumerate(rows):
+        lines += [""] * (k in blanks) + [",".join(fields)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([HEADER.strip(), *lines, *[""] * draw(st.integers(0, 2))]) + newline
+
+
+def parse_outcome(parse, content):
+    """What a parser returns, bitwise, or the class and message it raises."""
+    try:
+        s = parse(content, "T")
+    except StockcastError as exc:
+        return type(exc), str(exc)
+    return s.ticker, s.dates, s.rows.dtype, s.rows.shape, s.rows.tobytes()
+
+
+class TestParseMatchesRowLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(content=ohlcv_files())
+    def test_same_series_or_same_error(self, content):
+        assert parse_outcome(parse_ohlcv_csv, content) == parse_outcome(
+            row_loop_parse_ohlcv_csv, content
+        )
 
 
 def series_on(ticker: str, days: list[date], close: float = 10.0):
@@ -261,6 +397,17 @@ class TestMakeWindows:
             assert np.array_equal(ds.inputs[k], scaled[k : k + 2])
             assert np.array_equal(ds.targets[k], scaled[k + 2])
             assert ds.target_dates[k] == dates[k + 2]
+
+    @pytest.mark.parametrize("n_days, n_stocks, lookback", [(2, 1, 1), (9, 3, 4), (60, 5, 11)])
+    def test_inputs_match_the_sample_loop_bitwise(self, rng, n_days, n_stocks, lookback):
+        scaled = rng.normal(size=(n_days, n_stocks))
+        expected = np.empty((n_days - lookback, lookback, n_stocks))
+        for k in range(n_days - lookback):
+            expected[k] = scaled[k : k + lookback]
+        ds = make_windows(scaled, weekdays(n_days), lookback)
+        assert ds.inputs.flags.c_contiguous
+        assert ds.inputs.shape == expected.shape
+        assert ds.inputs.tobytes() == expected.tobytes()
 
     def test_leakage_freedom(self):
         dates = weekdays(9)

@@ -218,6 +218,11 @@ class TestLstmColumnBlocks:
                 # the masks are the same draws: the stream after them is too
                 assert next_blk == next_one
 
+    def test_block_width_follows_the_itemsize(self):
+        # at H = 32 the budget holds 1,024 float32 sequences and 512 float64 ones
+        assert models._lstm_block_width(np.dtype(np.float32), 32) == 1024
+        assert models._lstm_block_width(np.dtype(np.float64), 32) == 512
+
     def test_gradients_across_blocks_match_finite_differences(self, monkeypatch, rng):
         params, target = two_layer_case(rng, 37)
         err = gradient_check(
