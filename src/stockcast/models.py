@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -143,10 +143,167 @@ class EarlyStopper:
 # float64).
 _LSTM_BLOCK_BYTES = 3 * 2**19
 
+# Work arrays of `lstm_stack` by (name, dtype), grown on demand and reused by
+# every call, so a fit does not fault in fresh pages at each forward. Each
+# call overwrites them: no tape may hold one, and calls may not interleave
+# across threads.
+_lstm_work: dict[tuple[str, np.dtype], np.ndarray] = {}
+
 
 def _lstm_block_width(dtype: np.dtype, H: int) -> int:
     """Sequences per column block of `lstm_stack` for work arrays of `dtype`."""
     return max(1, _LSTM_BLOCK_BYTES // (12 * dtype.itemsize * H))
+
+
+def _work(name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """A contiguous `shape` view of the reused work array `name`, holding
+    whatever its last user left there."""
+    size = math.prod(shape)
+    buf = _lstm_work.get((name, dtype))
+    if buf is None or buf.size < size:
+        buf = _lstm_work[name, dtype] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _lstm_layer_forward(
+    inp: np.ndarray, wxT: np.ndarray, whT: np.ndarray, bias: np.ndarray, hs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One layer over one column block: (L, d, n) input in, hidden states
+    written to `hs` (L, H, n), which may be `inp` itself. Returns the
+    post-activation gates (L, 4H, n) and the cell states (L, H, n).
+
+    The sigmoid rows of `wxT`, `whT` and `bias` are pre-halved, so those rows
+    of the pre-activation come out as z / 2 for 0.5 * (tanh(z / 2) + 1)."""
+    length, _, n = inp.shape
+    H = whT.shape[1]
+    dtype = inp.dtype
+    gates = np.empty((length, 4 * H, n), dtype)
+    cs = np.empty((length, H, n), dtype)
+    # the input projection of all L steps, read before `hs` is written
+    if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
+        np.multiply(wxT, inp, out=gates)
+    else:
+        np.matmul(wxT, inp, out=gates)
+    b = _work("bias", (4 * H, n), dtype)
+    b[...] = bias[:, None]  # a contiguous add runs about twice as fast as a broadcast one
+    rec = _work("rec", (4 * H, n), dtype)
+    tmp = _work("tmp", (H, n), dtype)
+    for t in range(length):
+        z = gates[t]
+        if t > 0:
+            np.matmul(whT, hs[t - 1], out=rec)
+            z += rec
+        z += b
+        zs = z[: 3 * H]  # sigmoid gates
+        np.tanh(zs, out=zs)
+        zs += 1.0
+        zs *= 0.5
+        zg = z[3 * H :]  # candidate
+        np.tanh(zg, out=zg)
+
+        i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+        c = cs[t]
+        if t > 0:
+            np.multiply(f, cs[t - 1], out=c)
+            np.multiply(i, g, out=tmp)
+            c += tmp
+        else:
+            np.multiply(i, g, out=c)
+        np.tanh(c, out=tmp)
+        np.multiply(o, tmp, out=hs[t])
+    return gates, cs
+
+
+def _lstm_recomputed_input(
+    gates: np.ndarray, cs: np.ndarray, mask: np.ndarray | None, keep: np.floating
+) -> Callable[[int], np.ndarray]:
+    """Step t of an upper layer's input, recomputed as the forward made it
+    from the layer below's gates and cells: o * tanh(c), times the dropout
+    mask and scale. Each call overwrites the array the last one returned."""
+    H = cs.shape[1]
+    x_t = _work("x_t", cs.shape[1:], cs.dtype)
+
+    def at(t: int) -> np.ndarray:
+        np.tanh(cs[t], out=x_t)
+        np.multiply(x_t, gates[t, 2 * H : 3 * H], out=x_t)
+        if mask is not None:
+            np.multiply(x_t, mask[t], out=x_t)
+            np.multiply(x_t, keep, out=x_t)
+        return x_t
+
+    return at
+
+
+def _lstm_layer_backward(
+    gates: np.ndarray, cs: np.ndarray, x_at: Callable[[int], np.ndarray],
+    dh_seq: np.ndarray | None, dh_last: np.ndarray, wx: np.ndarray, wh: np.ndarray,
+    dw: tuple[np.ndarray, np.ndarray, np.ndarray], dx_seq: np.ndarray | None,
+) -> None:
+    """Backward of one layer over one column block from its taped gates and
+    cells; `x_at(t)` gives the layer's input at step t. `dh_seq` (L, H, n) is
+    the gradient of every hidden state from the layer above (overwritten), or
+    None for the top layer, whose one incoming gradient is `dh_last` at the
+    last step. Adds the weight gradients to the float64 `dw` and writes the
+    input's gradient to `dx_seq` when given."""
+    length, H, n = cs.shape
+    dtype = cs.dtype
+    dwxT, dwhT, db = dw
+    dz = _work("dz", (4 * H, n), dtype)
+    dz_i, dz_f, dz_o, dz_g = dz[:H], dz[H : 2 * H], dz[2 * H : 3 * H], dz[3 * H :]
+    dc = _work("dc", (H, n), dtype)
+    dc[...] = 0.0
+    dh_carry = _work("dh_carry", (H, n), dtype)
+    h_prev = _work("h_prev", (H, n), dtype)
+    tmp = _work("tmp", (H, n), dtype)
+    # tanh(c_t), computed once per step and carried to step t - 1
+    tc, tc_prev = _work("tc", (H, n), dtype), _work("tc_prev", (H, n), dtype)
+    np.tanh(cs[length - 1], out=tc)
+    for t in range(length - 1, -1, -1):
+        z = gates[t]
+        i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
+        if dh_seq is None:
+            # the stack only exposes the last hidden state
+            dh = dh_last if t == length - 1 else dh_carry
+        else:
+            dh = dh_seq[t]
+            if t < length - 1:
+                dh += dh_carry
+        np.multiply(dh, tc, out=dz_o)  # d(loss)/d(o), scaled below
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        np.multiply(dc, g, out=dz_i)
+        np.subtract(1.0, i, out=tmp)
+        tmp *= i
+        dz_i *= tmp
+        if t > 0:
+            np.multiply(dc, cs[t - 1], out=dz_f)
+            np.subtract(1.0, f, out=tmp)
+            tmp *= f
+            dz_f *= tmp
+        else:
+            dz_f[...] = 0.0  # initial cell state is a constant
+        np.subtract(1.0, o, out=tmp)
+        tmp *= o
+        dz_o *= tmp
+        np.multiply(dc, i, out=dz_g)
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dz_g *= tmp
+
+        if t > 0:
+            np.tanh(cs[t - 1], out=tc_prev)
+            np.multiply(gates[t - 1, 2 * H : 3 * H], tc_prev, out=h_prev)
+            dwhT += dz @ h_prev.T
+            np.matmul(wh, dz, out=dh_carry)  # dh is no longer read
+        dwxT += dz @ x_at(t).T
+        db += dz.sum(axis=1)
+        if dx_seq is not None:
+            np.matmul(wx, dz, out=dx_seq[t])
+        dc *= f
+        tc, tc_prev = tc_prev, tc
 
 
 def lstm_stack(
@@ -179,29 +336,41 @@ def lstm_stack(
     it stays in the L2 cache. The dropout masks are drawn for the whole
     batch, in layer order, before the first block, and the backward sums the
     weight gradients of all blocks.
+
+    The tape keeps, per block, each layer's post-activation gates and cell
+    states (5H rows per step and layer) and layer 0's input; caching tanh(c),
+    h and each upper layer's input as well would take 7H to 8H. The backward
+    recomputes those with the forward's own operations on the same operands:
+    tanh of the cells, h_{t-1} = o_{t-1} * tanh(c_{t-1}), and an upper
+    layer's input o * tanh(c) * mask * keep of the layer below. Elementwise
+    IEEE operations on the same values give the same bits, so the recomputed
+    arrays, and every result, are bitwise what caching them gives.
+    The sigmoid rows take their 0.5 from pre-halved weight and bias copies:
+    halving is exact short of the subnormal range, so z / 2 comes out bitwise
+    as well. Work arrays come from `_work` and are reused across calls.
     """
     if not layer_params:
         raise ShapeMismatchError("lstm_stack needs at least one layer")
     n_batch, length, d0 = x.shape
     n_layers = len(layer_params)
     H = layer_params[0][1].shape[0]
-    for wx, wh, b in layer_params:
-        if wh.shape != (H, 4 * H) or b.shape != (4 * H,) or wx.shape[1] != 4 * H:
+    for layer, (wx, wh, b) in enumerate(layer_params):
+        d = d0 if layer == 0 else H
+        if wx.shape != (d, 4 * H) or wh.shape != (H, 4 * H) or b.shape != (4 * H,):
             raise ShapeMismatchError(
-                f"lstm params wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+                f"lstm layer {layer} on input width {d}: wx {wx.shape}, wh {wh.shape}, "
+                f"b {b.shape}; expected ({d}, {4 * H}), ({H}, {4 * H}), ({4 * H},)"
             )
-    if layer_params[0][0].shape[0] != d0:
-        raise ShapeMismatchError(f"input width {d0} vs wx {layer_params[0][0].shape}")
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
 
     dtype = x.data.dtype
-    weights = [
-        (np.ascontiguousarray(wx.data.T, dtype=dtype),
-         np.ascontiguousarray(wh.data.T, dtype=dtype),
-         b.data.astype(dtype, copy=False)[:, None])
-        for wx, wh, b in layer_params
-    ]  # (4H, d), (4H, H), (4H, 1)
+    weights = []  # (4H, d), (4H, H), (4H,) copies with the sigmoid rows halved
+    for wx, wh, b in layer_params:
+        copies = tuple(np.array(a, dtype=dtype, order="C") for a in (wx.data.T, wh.data.T, b.data))
+        for a in copies:
+            a[: 3 * H] *= 0.5
+        weights.append(copies)
     # bool keep-masks and one rounded scale: h * mask * keep is bitwise
     # h * (mask / (1 - rate)) in float64
     masks: list[np.ndarray | None] = [None] * (n_layers - 1)
@@ -209,103 +378,51 @@ def lstm_stack(
         masks = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks]
     keep = dtype.type(1.0 / (1.0 - dropout_rate))
     width = _lstm_block_width(dtype, H)
-    blocks = []  # (columns, per-layer caches) of each column block
+    blocks = []  # (columns, layer-0 input, per-layer (gates, cells)) of each column block
     h_last = np.empty((n_batch, H), dtype=dtype)
     for lo in range(0, n_batch, width):
         cols = slice(lo, lo + width)
-        # time-major, feature-by-batch blocks: inp[t] is (d, n) and contiguous
-        inp = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
-        n = inp.shape[2]
-        caches = []
+        # time-major, feature-by-batch blocks: inp0[t] is (d, n) and contiguous
+        inp0 = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
+        hs = _work("hs", (length, H, inp0.shape[2]), dtype)
+        inp, tape = inp0, []
         for layer, (wxT, whT, bias) in enumerate(weights):
-            gates = np.empty((length, 4 * H, n), dtype=dtype)
-            cs = np.empty((length, H, n), dtype=dtype)
-            tcs = np.empty((length, H, n), dtype=dtype)
-            hs = np.empty((length, H, n), dtype=dtype)
-            for t in range(length):
-                z = gates[t]
-                if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
-                    np.multiply(wxT, inp[t], out=z)
-                else:
-                    np.matmul(wxT, inp[t], out=z)
-                if t > 0:
-                    z += whT @ hs[t - 1]
-                z += bias
-                zs = z[: 3 * H]  # sigmoid gates, computed as 0.5 * (tanh(z/2) + 1)
-                np.multiply(zs, 0.5, out=zs)
-                np.tanh(zs, out=zs)
-                zs += 1.0
-                np.multiply(zs, 0.5, out=zs)
-                zg = z[3 * H :]  # candidate
-                np.tanh(zg, out=zg)
-
-                i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-                c = cs[t]
-                if t > 0:
-                    np.multiply(f, cs[t - 1], out=c)
-                    c += i * g
-                else:
-                    np.multiply(i, g, out=c)
-                np.tanh(c, out=tcs[t])
-                np.multiply(o, tcs[t], out=hs[t])
-            caches.append((inp, gates, cs, tcs, hs))
-            if layer < n_layers - 1:
-                inp = hs if masks[layer] is None else hs * masks[layer][:, :, cols] * keep
+            tape.append(_lstm_layer_forward(inp, wxT, whT, bias, hs))
+            if layer < n_layers - 1 and masks[layer] is not None:
+                hs *= masks[layer][:, :, cols]
+                hs *= keep
+            inp = hs
         h_last[cols] = hs[length - 1].T
-        blocks.append((cols, caches))
+        blocks.append((cols, inp0, tape))
 
     def bw(grad: np.ndarray) -> None:
         grad = grad.astype(dtype, copy=False)
+        wxs = [wx.data.astype(dtype, copy=False) for wx, _, _ in layer_params]
+        whs = [wh.data.astype(dtype, copy=False) for _, wh, _ in layer_params]
         dw = [(np.zeros(wxT.shape), np.zeros((4 * H, H)), np.zeros(4 * H))
               for wxT, _, _ in weights]  # float64 (dwxT, dwhT, db) summed over blocks
         dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
-        for cols, caches in blocks:
-            upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
+        for cols, inp0, tape in blocks:
+            n = inp0.shape[2]
+            dh_seq: np.ndarray | None = None  # d(loss)/d(h) from the layer above
             for layer in range(n_layers - 1, -1, -1):
-                inp_l, gates, cs, tcs, hs_l = caches[layer]
-                wx, wh = (p.data.astype(dtype, copy=False) for p in layer_params[layer][:2])
-                dwxT, dwhT, db = dw[layer]
-                d, n = inp_l.shape[1:]
-                mask = None if layer == n_layers - 1 else masks[layer]
-                need_dx = layer > 0 or x.requires_grad
-                dx_seq = np.empty((length, d, n), dtype=dtype) if need_dx else None
-                dz = np.empty((4 * H, n), dtype=dtype)
-                dc = np.zeros((H, n), dtype=dtype)
-                dh_carry: np.ndarray | None = None
-                for t in range(length - 1, -1, -1):
-                    z = gates[t]
-                    i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-                    tc = tcs[t]
-                    if layer == n_layers - 1:
-                        # the stack only exposes the last hidden state
-                        dh = grad[cols].T if t == length - 1 else dh_carry
-                    else:
-                        dh = upper_dx[t]
-                        if mask is not None:
-                            dh = dh * mask[t][:, cols] * keep
-                        if dh_carry is not None:
-                            dh = dh + dh_carry
-                    do = dh * tc
-                    dc += dh * (o * (1.0 - tc * tc))
-                    dz[:H] = (dc * g) * (i * (1.0 - i))
-                    if t > 0:
-                        dz[H : 2 * H] = (dc * cs[t - 1]) * (f * (1.0 - f))
-                    else:
-                        dz[H : 2 * H] = 0.0  # initial cell state is a constant
-                    dz[2 * H : 3 * H] = do * (o * (1.0 - o))
-                    dz[3 * H :] = (dc * i) * (1.0 - g * g)
-
-                    if t > 0:
-                        dwhT += dz @ hs_l[t - 1].T
-                        dh_carry = wh @ dz
-                    dwxT += dz @ inp_l[t].T
-                    db += dz.sum(axis=1)
-                    if need_dx:
-                        np.matmul(wx, dz, out=dx_seq[t])
-                    dc *= f
-                upper_dx = dx_seq
+                gates, cs = tape[layer]
+                if layer > 0:
+                    mask = None if masks[layer - 1] is None else masks[layer - 1][:, :, cols]
+                    x_at = _lstm_recomputed_input(*tape[layer - 1], mask, keep)
+                else:
+                    x_at = inp0.__getitem__
+                if dh_seq is not None and masks[layer] is not None:
+                    dh_seq *= masks[layer][:, :, cols]
+                    dh_seq *= keep
+                dx_seq = None
+                if layer > 0 or dx is not None:
+                    dx_seq = _work(f"dx{layer % 2}", (length, wxs[layer].shape[0], n), dtype)
+                _lstm_layer_backward(gates, cs, x_at, dh_seq, grad[cols].T,
+                                     wxs[layer], whs[layer], dw[layer], dx_seq)
+                dh_seq = dx_seq
             if dx is not None:
-                dx[cols] = upper_dx.transpose(2, 0, 1)
+                dx[cols] = dh_seq.transpose(2, 0, 1)
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())

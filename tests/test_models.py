@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestLstm:
         triples = [(params["lstm0.wx"], params["lstm0.wh"], params["lstm0.b"])]
         with pytest.raises(ShapeMismatchError):
             lstm_stack(Tensor(np.zeros((2, 3, 5))), triples)  # input width 5 vs wx rows 1
+
+    def test_upper_layer_input_width_is_checked(self, rng):
+        # layer 1 reads layer 0's H = 4 hidden states, so its wx must have 4 rows
+        triples = two_layer_triples(init_params(tiny_spec("lstm"), 1, 4, rng))
+        triples[1] = (Tensor(rng.normal(size=(3, 16)), requires_grad=True), *triples[1][1:])
+        with pytest.raises(ShapeMismatchError, match=r"layer 1 on input width 4: wx \(3, 16\)"):
+            lstm_stack(Tensor(np.zeros((2, 3, 1))), triples)
 
     def test_dropout_between_layers_changes_training_output(self, rng):
         spec = tiny_spec("lstm")
@@ -439,6 +447,78 @@ class TestLstmDtype:
         assert dtypes == {np.dtype(np.float64)}
         expected = real(Tensor(ds.inputs[-1:]), spec, result.params).data[0]
         assert np.array_equal(pred, expected)
+
+
+class TestLstmTape:
+    """The tape keeps each layer's gates and cells and layer 0's input; the
+    backward recomputes the rest from them."""
+
+    def test_tape_holds_gates_and_cells_only(self, rng):
+        n_batch, length, hidden = 1100, 11, 32
+        params = init_params(tiny_spec("lstm", hidden_size=hidden), 1, length, rng)
+        x = Tensor(rng.uniform(0.0, 1.0, size=(n_batch, length, 1)).astype(np.float32))
+        masks = np.random.Generator(np.random.PCG64(7))
+        # what the output holds is what dropping it frees; tracemalloc sees
+        # numpy's buffers, and the reused work arrays stay allocated
+        tracemalloc.start()
+        try:
+            h = lstm_stack(x, two_layer_triples(params), 0.5, True, masks)
+            held = tracemalloc.get_traced_memory()[0]
+            del h
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # gates (4H) and cells (H) per step, layer and sequence
+        budget = 2 * length * 5 * hidden * n_batch * np.dtype(np.float32).itemsize
+        assert budget <= held <= 1.1 * budget, held / budget
+
+    def test_work_arrays_are_never_read_through_a_live_tape(self, monkeypatch, rng):
+        # 37 sequences in 16-sequence blocks; an eval forward of other inputs
+        # and another batch size runs between A's forward and A's backward
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
+        params, target = two_layer_case(rng, 37, d=3)
+        other = Tensor(rng.normal(size=(21, 5, 3)))
+
+        def grads_of_a(between=None):
+            h = lstm_stack(params["x"], two_layer_triples(params), 0.5, True,
+                           np.random.Generator(np.random.PCG64(7)))
+            if between is not None:
+                between()
+            return {k: g.copy() for k, g in backward(mse_loss(h, Tensor(target)), params).items()}
+
+        alone = grads_of_a()
+        interleaved = grads_of_a(lambda: lstm_stack(other, two_layer_triples(params)))
+        for name in alone:
+            assert np.array_equal(interleaved[name], alone[name]), name
+
+    def test_every_coordinate_matches_finite_differences(self, monkeypatch, rng):
+        # dropout between the layers, so the recomputed upper-layer input carries
+        # masks; 37 sequences in 16-sequence blocks, the last one ragged
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
+        params, target = two_layer_case(rng, 37, d=3)
+
+        def loss() -> Tensor:
+            h = lstm_stack(params["x"], two_layer_triples(params), 0.5, True,
+                           np.random.Generator(np.random.PCG64(7)))
+            return mse_loss(h, Tensor(target))
+
+        grads = {k: g.copy() for k, g in backward(loss(), params).items()}
+        step = 1e-5
+        for name, p in params.items():
+            flat = p.data.reshape(-1)
+            numeric = np.empty(flat.size)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + step
+                plus = loss().item()
+                flat[k] = orig - step
+                minus = loss().item()
+                flat[k] = orig
+                numeric[k] = (plus - minus) / (2.0 * step)
+            analytic = grads[name].reshape(-1)
+            # normalised by the tensor's gradient scale: round-off is absolute
+            err = np.abs(numeric - analytic).max() / np.abs(analytic).max()
+            assert err < 1e-4, (name, err)
 
 
 class TestGcn:
