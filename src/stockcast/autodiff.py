@@ -10,6 +10,11 @@ Each op wires a backward closure onto its output tensor; backward() walks
 the recorded graph in reverse topological order and accumulates gradients
 into every tracked leaf. The tape is dynamic: it exists only as the parent
 links of the tensors produced during one forward pass.
+
+The ops are the ones the models use: matmul, add, relu, concat, reshape,
+swapaxes, unfold (the sliding windows of the cnn1d convolution), dropout and
+the MSE loss. The LSTM is one fused op of its own in `models`. Finite
+difference checks of these gradients live with the tests.
 """
 
 from __future__ import annotations
@@ -207,11 +212,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    a_shape = list(a.shape)
-    b_shape = list(b.shape)
     ax = axis % max(a.ndim, 1)
-    a_shape[ax] = b_shape[ax] = -1
-    if a.ndim != b.ndim or a_shape != b_shape:
+    if a.ndim != b.ndim or a.shape[:ax] + a.shape[ax + 1:] != b.shape[:ax] + b.shape[ax + 1:]:
         raise ShapeMismatchError(f"concat {a.shape} | {b.shape} on axis {axis}")
     data = np.concatenate([a.data, b.data], axis=axis)
     split = a.shape[ax]
@@ -244,27 +246,19 @@ def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    if not (0 <= start and start + length <= x.shape[axis]):
-        raise ShapeMismatchError(f"narrow [{start}:{start + length}) of {x.shape} axis {axis}")
-    index: list[slice] = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    data = np.ascontiguousarray(x.data[tuple(index)])
+def unfold(x: Tensor, size: int) -> Tensor:
+    """Every window of `size` consecutive entries of the last axis:
+    (..., L) -> (..., L - size + 1, size), contiguous."""
+    if x.ndim < 1 or not 1 <= size <= x.shape[-1]:
+        raise ShapeMismatchError(f"unfold size {size} of {x.shape}")
+    data = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=-1).copy()
+    n_windows = data.shape[-2]
 
     def bw(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
-        gx[tuple(index)] = g
+        for j in range(size):  # offset j of every window reads x[..., j:j + n_windows]
+            gx[..., j:j + n_windows] += g[..., j]
         x.add_grad(gx)
-
-    return Tensor._from_op(data, (x,), bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    data = x.data * c
-
-    def bw(g: np.ndarray) -> None:
-        x.add_grad(g * c)
 
     return Tensor._from_op(data, (x,), bw)
 
@@ -308,43 +302,3 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         x.add_grad(g * mask * keep)
 
     return Tensor._from_op(data, (x,), bw)
-
-
-def gradient_check(
-    build_loss: Callable[[Mapping[str, Tensor]], Tensor],
-    params: Mapping[str, Tensor],
-    h: float = 1e-5,
-    max_coords: int = 16,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `build_loss` must be deterministic; parameters with more than
-    `max_coords` entries are probed at a seeded random subset of coordinates.
-    """
-    loss = build_loss(params)
-    grads = backward(loss, params)
-    assert grads is not None
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
-
-    worst = 0.0
-    for name in sorted(params):
-        flat = params[name].data.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        if flat.size <= max_coords:
-            coords = np.arange(flat.size)
-        else:
-            coords = np.sort(rng.choice(flat.size, size=max_coords, replace=False))
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + h
-            plus = float(build_loss(params).data)
-            flat[idx] = orig - h
-            minus = float(build_loss(params).data)
-            flat[idx] = orig
-            numeric = (plus - minus) / (2.0 * h)
-            analytic = gflat[idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
-            worst = max(worst, err)
-    return worst

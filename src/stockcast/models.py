@@ -24,11 +24,10 @@ from .autodiff import (
     dropout,
     matmul,
     mse_loss,
-    narrow,
     relu,
     reshape,
-    scale,
     swapaxes,
+    unfold,
 )
 from .errors import (
     DivergedLossError,
@@ -563,19 +562,17 @@ def _dense_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
 
 
 def _cnn_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
+    """cnn1d: one ReLU convolution over each stock's window, mean-pooled over
+    its L - k + 1 positions, then a linear head shared across stocks."""
     n_batch, length, n_stocks = windows.shape
-    kernel = spec.cnn_kernel
-    if length < kernel:
-        raise ShapeMismatchError(f"window length {length} < kernel {kernel}")
     series = reshape(swapaxes(windows, 1, 2), (n_batch * n_stocks, length))
-    n_positions = length - kernel + 1
-    pooled: Tensor | None = None
-    for p in range(n_positions):
-        patch = narrow(series, 1, p, kernel)  # (B*N, kernel)
-        act = relu(add(matmul(patch, params["conv.w"]), params["conv.b"]))
-        pooled = act if pooled is None else add(pooled, act)
-    pooled = scale(pooled, 1.0 / n_positions)
-    out = add(matmul(pooled, params["head.w"]), params["head.b"])  # (B*N, 1)
+    patches = unfold(series, spec.cnn_kernel)  # (B*N, P, kernel)
+    n_rows, n_positions, _ = patches.shape
+    # every position in one 2-D matmul, whose weight gradient is one product
+    conv = matmul(reshape(patches, (n_rows * n_positions, spec.cnn_kernel)), params["conv.w"])
+    act = reshape(relu(add(conv, params["conv.b"])), (n_rows, n_positions, spec.cnn_channels))
+    pooled = matmul(Tensor(np.full((1, n_positions), 1.0 / n_positions)), act)  # (B*N, 1, C)
+    out = add(matmul(pooled, params["head.w"]), params["head.b"])  # (B*N, 1, 1)
     return reshape(out, (n_batch, n_stocks))
 
 

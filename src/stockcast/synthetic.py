@@ -1,4 +1,4 @@
-"""Synthetic price panels for experiments and fixtures.
+"""Synthetic price panels for experiments.
 
 `lead_lag_panel` builds the clustered lead-lag world used by the hybrid
 vs. standalone-LSTM study: a latent factor drives each cluster, one leader
@@ -26,29 +26,6 @@ def _trading_dates(n_days: int, start: date = date(2020, 1, 1)) -> list[date]:
             out.append(day)
         day += timedelta(days=1)
     return out
-
-
-def prices_from_returns(returns: np.ndarray, start_price: float = 100.0) -> np.ndarray:
-    """Cumulate simple returns into a positive price path per column."""
-    steps = np.cumprod(1.0 + returns, axis=0)
-    prices = np.empty((returns.shape[0] + 1, returns.shape[1]))
-    prices[0] = start_price
-    prices[1:] = start_price * steps
-    return prices
-
-
-def random_walk_panel(
-    n_stocks: int, n_days: int, seed: int, daily_vol: float = 0.01
-) -> PricePanel:
-    """Independent random-walk closes, useful as a neutral fixture."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    returns = daily_vol * rng.standard_normal((n_days - 1, n_stocks))
-    tickers = [f"S{j:02d}" for j in range(n_stocks)]
-    return PricePanel(
-        tickers=tickers,
-        dates=_trading_dates(n_days),
-        close=prices_from_returns(returns),
-    )
 
 
 def lead_lag_panel(

@@ -7,15 +7,13 @@ from stockcast.autodiff import (
     backward,
     concat,
     dropout,
-    gradient_check,
     matmul,
     mse_loss,
-    narrow,
     relu,
     reshape,
-    scale,
     swapaxes,
     topo_order,
+    unfold,
 )
 from stockcast.errors import (
     DetachedGraphError,
@@ -23,6 +21,8 @@ from stockcast.errors import (
     NotScalarLossError,
     ShapeMismatchError,
 )
+
+from conftest import gradient_check
 
 
 def t(data, grad=False):
@@ -49,6 +49,11 @@ class TestForwardOps:
     def test_concat_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             concat(t(np.zeros((5, 3))), t(np.zeros((4, 2))))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((5, 3), (3,)), ((3,), (5, 3))])
+    def test_concat_rank_mismatch(self, a_shape, b_shape):
+        with pytest.raises(ShapeMismatchError):
+            concat(t(np.zeros(a_shape)), t(np.zeros(b_shape)), axis=-1)
 
     def test_add_broadcasts_bias(self):
         out = add(t(np.zeros((4, 3))), t(np.array([1.0, 2.0, 3.0])))
@@ -123,11 +128,11 @@ class TestBackward:
             backward(loss, {"y": y})
 
     def test_backward_frees_the_tape(self):
-        x = t([1.0, -2.0], grad=True)
-        hidden = relu(scale(x, 3.0))
-        loss = mse_loss(hidden, t([0.0, 0.0]))
+        x = t([[1.0], [-2.0]], grad=True)
+        hidden = relu(matmul(x, t([[3.0]])))
+        loss = mse_loss(hidden, t([[0.0], [0.0]]))
         grads = backward(loss, {"x": x})
-        assert np.array_equal(grads["x"], [9.0, 0.0])
+        assert np.array_equal(grads["x"], [[9.0], [0.0]])
         assert loss._parents == () and loss._backward is None
         assert hidden._parents == () and hidden._backward is None
         # a spent tape must not hand back stale or zero grads
@@ -144,28 +149,28 @@ class TestBackward:
     def test_multi_consumer_accumulation(self):
         # y = 2x + 3x + x @ [[4]] has dy/dx = 9; exercises repeated add_grad on one leaf
         x = t([[3.0]], grad=True)
-        y = add(add(scale(x, 2.0), scale(x, 3.0)), matmul(x, t([[4.0]])))
+        y = add(add(matmul(x, t([[2.0]])), matmul(x, t([[3.0]]))), matmul(x, t([[4.0]])))
         backward(reshape(y, ()))
         assert x.grad[0, 0] == 9.0
 
     def test_add_same_shape_parents_keep_distinct_grads(self):
         # a's second contribution must not leak into b through a shared buffer
-        a = t([1.0, 2.0], grad=True)
-        b = t([3.0, 4.0], grad=True)
-        out = add(add(a, b), scale(a, 5.0))
-        backward(mse_loss(out, t([0.0, 0.0])))
+        a = t([[1.0, 2.0]], grad=True)
+        b = t([[3.0, 4.0]], grad=True)
+        out = add(add(a, b), matmul(a, t(5.0 * np.eye(2))))
+        backward(mse_loss(out, t([[0.0, 0.0]])))
         expected_b = 2.0 / 2 * (a.data + b.data + 5.0 * a.data)
         assert np.allclose(b.grad, expected_b)
         assert np.allclose(a.grad, expected_b * 6.0)
 
     def test_structural_ops_roundtrip_gradients(self, rng):
         params = {"x": Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)}
-        target = rng.normal(size=(3, 8))
+        target = rng.normal(size=(3, 1, 8))
 
         def build(p):
             y = swapaxes(p["x"], 0, 1)          # (3, 2, 4)
             y = reshape(y, (3, 8))
-            y = narrow(y, 1, 0, 8)
+            y = unfold(y, 8)                    # (3, 1, 8)
             return mse_loss(y, t(target))
 
         assert gradient_check(build, params, max_coords=24) < 1e-6
@@ -173,7 +178,7 @@ class TestBackward:
     def test_topo_order_parents_first(self):
         x = t([1.0], grad=True)
         y = relu(x)
-        z = scale(y, 2.0)
+        z = reshape(y, ())
         order = topo_order(z)
         assert order.index(x) < order.index(y) < order.index(z)
 
@@ -192,6 +197,38 @@ class TestBackward:
         loss_b, grad_b = run()
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
+
+
+class TestUnfold:
+    def test_forward_is_a_contiguous_sliding_window_copy(self, rng):
+        x = rng.normal(size=(2, 3, 7))
+        for size in (1, 3, 7):
+            out = unfold(t(x), size).data
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, np.lib.stride_tricks.sliding_window_view(x, size, axis=-1))
+
+    @pytest.mark.parametrize("size", [0, -1, 8])
+    def test_size_out_of_range(self, size):
+        with pytest.raises(ShapeMismatchError):
+            unfold(t(np.zeros((2, 7))), size)
+
+    def test_scalar_has_no_axis_to_unfold(self):
+        with pytest.raises(ShapeMismatchError):
+            unfold(t(1.0), 1)
+
+    @pytest.mark.parametrize("size", [1, 3, 6])
+    def test_every_coordinate_matches_finite_differences(self, rng, size):
+        # windows overlap for 1 < size < L, so the backward sums several reads per input
+        params = {
+            "x": Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True),
+            "w": Tensor(rng.normal(size=(size, 2)), requires_grad=True),
+        }
+        target = rng.normal(size=(2, 3, 7 - size, 2))
+
+        def build(p):
+            return mse_loss(relu(matmul(unfold(p["x"], size), p["w"])), t(target))
+
+        assert gradient_check(build, params, max_coords=36) < 1e-6
 
 
 class TestDropout:

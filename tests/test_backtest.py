@@ -29,9 +29,9 @@ from stockcast.errors import (
 from stockcast.market_data import DateRange, fit_scaler
 from stockcast.models import ModelSpec, TrainConfig
 from stockcast.relation_graph import GraphConfig
-from stockcast.synthetic import lead_lag_panel, random_walk_panel
+from stockcast.synthetic import lead_lag_panel
 
-from conftest import make_panel, weekdays
+from conftest import make_panel, random_walk_panel, weekdays
 
 
 def linreg_spec(lookback=3, **kw):

@@ -14,7 +14,9 @@ from stockcast.config import EPOCH_BOUNDS, RunConfig, load_config
 from stockcast.errors import ConfigError
 from stockcast.models import MODEL_KINDS, ModelSpec, TrainConfig
 from stockcast.relation_graph import GraphConfig
-from stockcast.synthetic import lead_lag_panel, random_walk_panel
+from stockcast.synthetic import lead_lag_panel
+
+from conftest import random_walk_panel
 
 
 def write_panel_csvs(panel, directory: Path) -> None:

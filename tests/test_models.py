@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from stockcast.autodiff import Tensor, backward, gradient_check, mse_loss, narrow, reshape
+from stockcast.autodiff import Tensor, backward, matmul, mse_loss, reshape, topo_order
 from stockcast.errors import (
     DivergedLossError,
     EmptyDatasetError,
@@ -26,7 +26,7 @@ from stockcast.models import (
     train,
 )
 
-from conftest import weekdays
+from conftest import coordinate_errors, gradient_check, weekdays
 
 
 def tiny_config(**kw):
@@ -497,27 +497,12 @@ class TestLstmTape:
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
         params, target = two_layer_case(rng, 37, d=3)
 
-        def loss() -> Tensor:
-            h = lstm_stack(params["x"], two_layer_triples(params), 0.5, True,
+        def loss(p) -> Tensor:
+            h = lstm_stack(p["x"], two_layer_triples(p), 0.5, True,
                            np.random.Generator(np.random.PCG64(7)))
             return mse_loss(h, Tensor(target))
 
-        grads = {k: g.copy() for k, g in backward(loss(), params).items()}
-        step = 1e-5
-        for name, p in params.items():
-            flat = p.data.reshape(-1)
-            numeric = np.empty(flat.size)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + step
-                plus = loss().item()
-                flat[k] = orig - step
-                minus = loss().item()
-                flat[k] = orig
-                numeric[k] = (plus - minus) / (2.0 * step)
-            analytic = grads[name].reshape(-1)
-            # normalised by the tensor's gradient scale: round-off is absolute
-            err = np.abs(numeric - analytic).max() / np.abs(analytic).max()
+        for name, err in coordinate_errors(loss, params).items():
             assert err < 1e-4, (name, err)
 
 
@@ -584,7 +569,9 @@ class TestHybrid:
         window = Tensor(rng.uniform(0.1, 0.9, (1, 4, n)), requires_grad=True)
         out = model_forward(window, spec, params, edgeless_adjacency(n))
         target_stock = 1
-        backward(reshape(narrow(out, 1, target_stock, 1), ()))
+        pick = np.zeros((n, 1))
+        pick[target_stock] = 1.0
+        backward(reshape(matmul(out, Tensor(pick)), ()))  # d out[0, target_stock]
         grads = window.grad[0]  # (L, N)
         others = [j for j in range(n) if j != target_stock]
         assert np.all(grads[:, others] == 0.0)
@@ -677,6 +664,56 @@ class TestBaselines:
         params = init_params(spec, 2, 2, rng)
         with pytest.raises(ShapeMismatchError):
             model_forward(Tensor(np.zeros((1, 2, 2))), spec, params)
+
+    def test_cnn_matches_the_per_position_reference(self, rng):
+        # numpy reference: one ReLU convolution per window position, summed,
+        # divided by the position count, then the head; gradients by hand
+        spec = tiny_spec("cnn1d", cnn_channels=4, cnn_kernel=3)
+        n_batch, length, n_stocks = 5, 7, 3
+        params = init_params(spec, n_stocks, length, rng)
+        window_data = rng.uniform(0.1, 0.9, (n_batch, length, n_stocks))
+        target = rng.uniform(0.1, 0.9, (n_batch, n_stocks))
+        window = Tensor(window_data, requires_grad=True)
+        out = model_forward(window, spec, params)
+        grads = backward(mse_loss(out, Tensor(target)), params)
+
+        w, b = params["conv.w"].data, params["conv.b"].data
+        hw, hb = params["head.w"].data, params["head.b"].data
+        series = window_data.transpose(0, 2, 1).reshape(-1, length)
+        n_positions = length - 3 + 1
+        patches = [series[:, p:p + 3] for p in range(n_positions)]
+        pre = [patch @ w + b for patch in patches]
+        pooled = sum(np.maximum(z, 0.0) for z in pre) * (1.0 / n_positions)
+        ref_out = (pooled @ hw + hb).reshape(n_batch, n_stocks)
+        g_out = (2.0 / ref_out.size) * (ref_out - target).reshape(-1, 1)
+        g_pooled = g_out @ hw.T / n_positions
+        g_pre = [g_pooled * (z > 0.0) for z in pre]
+        g_series = np.zeros_like(series)
+        for p, g in enumerate(g_pre):
+            g_series[:, p:p + 3] += g @ w.T
+        ref = {
+            "conv.w": sum(patch.T @ g for patch, g in zip(patches, g_pre)),
+            "conv.b": sum(g.sum(axis=0) for g in g_pre),
+            "head.w": pooled.T @ g_out,
+            "head.b": g_out.sum(axis=0),
+            "window": g_series.reshape(n_batch, n_stocks, length).transpose(0, 2, 1),
+        }
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        assert rel(out.data, ref_out) < 1e-12
+        for name, g in {**grads, "window": window.grad}.items():
+            assert rel(g, ref[name]) < 1e-12, name
+
+    def test_cnn_tape_does_not_grow_with_lookback(self, rng):
+        spec = tiny_spec("cnn1d")
+        sizes = set()
+        for lookback in (3, 5, 11):
+            params = init_params(spec, 2, lookback, rng)
+            out = model_forward(Tensor(rng.uniform(0, 1, (2, lookback, 2))), spec, params)
+            sizes.add(len(topo_order(mse_loss(out, Tensor(np.zeros((2, 2)))))))
+        assert len(sizes) == 1
 
     def test_dense_and_cnn_gradients(self, rng):
         for kind in ("dense", "cnn1d"):

@@ -2,7 +2,9 @@ import numpy as np
 
 from stockcast.market_data import daily_returns
 from stockcast.relation_graph import build_graph, pearson_matrix
-from stockcast.synthetic import lead_lag_panel, prices_from_returns, random_walk_panel
+from stockcast.synthetic import lead_lag_panel
+
+from conftest import prices_from_returns, random_walk_panel
 
 
 def test_random_walk_panel_shape_and_positivity():
