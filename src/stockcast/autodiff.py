@@ -1,10 +1,12 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-A tensor holds float64 data, or float32 data when built from a float32
-array. Only the fused LSTM kernel (`models.lstm_stack`) computes in float32:
-training and prediction of the lstm and hybrid feed it float32 windows, and
-it hands float64 weight gradients back. Parameters, the graph convolution,
-the fusion head, the loss, the gradients and Adam stay float64.
+A tensor stores float64 data, whatever it is built from. Only the fused
+LSTM kernel (`models.lstm_stack`) computes in float32: training and
+prediction of the lstm and hybrid feed it float32 windows, it returns its
+hidden states as a float32 tensor, and it hands float64 weight gradients
+back. Parameters, the graph convolution, the fusion head, the loss, the
+gradients and Adam stay float64. Windows and targets are data, not tensors:
+the models take them as numpy arrays, and no gradient flows into them.
 
 Each op wires a backward closure onto its output tensor; backward() walks
 the recorded graph in reverse topological order and accumulates gradients
@@ -12,9 +14,9 @@ into every tracked leaf. The tape is dynamic: it exists only as the parent
 links of the tensors produced during one forward pass.
 
 The ops are the ones the models use: matmul, add, relu, concat, reshape,
-swapaxes, unfold (the sliding windows of the cnn1d convolution), dropout and
-the MSE loss. The LSTM is one fused op of its own in `models`. Finite
-difference checks of these gradients live with the tests.
+dropout and the MSE loss against an array target. The LSTM is one fused op
+of its own in `models`. Finite difference checks of these gradients live
+with the tests.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype != np.float32:
-            arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor initialized with NaN/Inf")
         self.data = arr
@@ -88,10 +88,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -212,7 +208,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
-    ax = axis % max(a.ndim, 1)
+    if not -a.ndim <= axis < a.ndim:
+        raise ShapeMismatchError(f"concat axis {axis} of {a.shape}")
+    ax = axis % a.ndim
     if a.ndim != b.ndim or a.shape[:ax] + a.shape[ax + 1:] != b.shape[:ax] + b.shape[ax + 1:]:
         raise ShapeMismatchError(f"concat {a.shape} | {b.shape} on axis {axis}")
     data = np.concatenate([a.data, b.data], axis=axis)
@@ -237,49 +235,19 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
-    data = np.ascontiguousarray(np.swapaxes(x.data, axis1, axis2))
-
-    def bw(g: np.ndarray) -> None:
-        x.add_grad(np.swapaxes(g, axis1, axis2))
-
-    return Tensor._from_op(data, (x,), bw)
-
-
-def unfold(x: Tensor, size: int) -> Tensor:
-    """Every window of `size` consecutive entries of the last axis:
-    (..., L) -> (..., L - size + 1, size), contiguous."""
-    if x.ndim < 1 or not 1 <= size <= x.shape[-1]:
-        raise ShapeMismatchError(f"unfold size {size} of {x.shape}")
-    data = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=-1).copy()
-    n_windows = data.shape[-2]
-
-    def bw(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        for j in range(size):  # offset j of every window reads x[..., j:j + n_windows]
-            gx[..., j:j + n_windows] += g[..., j]
-        x.add_grad(gx)
-
-    return Tensor._from_op(data, (x,), bw)
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over all elements of the squared difference."""
-    target = as_tensor(target)
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over all elements of the squared difference from a fixed target."""
+    target = np.asarray(target)
     if pred.shape != target.shape:
         raise ShapeMismatchError(f"mse_loss {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
+    diff = pred.data - target
     n = diff.size
     data = np.asarray((diff * diff).sum() / n)
 
     def bw(g: np.ndarray) -> None:
-        scaled = (2.0 / n) * g * diff
-        if pred.requires_grad:
-            pred.add_grad(scaled)
-        if target.requires_grad:
-            target.add_grad(-scaled)
+        pred.add_grad((2.0 / n) * g * diff)
 
-    return Tensor._from_op(data, (pred, target), bw)
+    return Tensor._from_op(data, (pred,), bw)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

@@ -26,12 +26,11 @@ from .autodiff import (
     mse_loss,
     relu,
     reshape,
-    swapaxes,
-    unfold,
 )
 from .errors import (
     DivergedLossError,
     EmptyDatasetError,
+    InvalidRateError,
     ShapeMismatchError,
     SingularSystemError,
 )
@@ -306,14 +305,15 @@ def _lstm_layer_backward(
 
 
 def lstm_stack(
-    x: Tensor,
+    x: np.ndarray,
     layer_params: list[tuple[Tensor, Tensor, Tensor]],
     dropout_rate: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Stacked LSTM over (B, L, d) input as one fused tape op; returns the
-    final hidden state (B, H).
+    """Stacked LSTM over a (B, L, d) input array as one fused tape op;
+    returns the final hidden state (B, H). The input is data: the op's tape
+    parents are its weights only, and no gradient flows back into `x`.
 
     The kernel computes in the dtype of `x`, float32 or float64: the weights
     are cast in the transposed copies it makes anyway, and the work arrays,
@@ -360,10 +360,12 @@ def lstm_stack(
                 f"lstm layer {layer} on input width {d}: wx {wx.shape}, wh {wh.shape}, "
                 f"b {b.shape}; expected ({d}, {4 * H}), ({H}, {4 * H}), ({4 * H},)"
             )
+    if not 0.0 <= dropout_rate < 1.0:
+        raise InvalidRateError(f"dropout rate {dropout_rate}")
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
 
-    dtype = x.data.dtype
+    dtype = x.dtype
     weights = []  # (4H, d), (4H, H), (4H,) copies with the sigmoid rows halved
     for wx, wh, b in layer_params:
         copies = tuple(np.array(a, dtype=dtype, order="C") for a in (wx.data.T, wh.data.T, b.data))
@@ -382,7 +384,7 @@ def lstm_stack(
     for lo in range(0, n_batch, width):
         cols = slice(lo, lo + width)
         # time-major, feature-by-batch blocks: inp0[t] is (d, n) and contiguous
-        inp0 = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
+        inp0 = np.ascontiguousarray(x[cols].transpose(1, 2, 0))
         hs = _work("hs", (length, H, inp0.shape[2]), dtype)
         inp, tape = inp0, []
         for layer, (wxT, whT, bias) in enumerate(weights):
@@ -400,7 +402,6 @@ def lstm_stack(
         whs = [wh.data.astype(dtype, copy=False) for _, wh, _ in layer_params]
         dw = [(np.zeros(wxT.shape), np.zeros((4 * H, H)), np.zeros(4 * H))
               for wxT, _, _ in weights]  # float64 (dwxT, dwhT, db) summed over blocks
-        dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
         for cols, inp0, tape in blocks:
             n = inp0.shape[2]
             dh_seq: np.ndarray | None = None  # d(loss)/d(h) from the layer above
@@ -415,13 +416,11 @@ def lstm_stack(
                     dh_seq *= masks[layer][:, :, cols]
                     dh_seq *= keep
                 dx_seq = None
-                if layer > 0 or dx is not None:
-                    dx_seq = _work(f"dx{layer % 2}", (length, wxs[layer].shape[0], n), dtype)
+                if layer > 0:
+                    dx_seq = _work(f"dx{layer % 2}", (length, H, n), dtype)
                 _lstm_layer_backward(gates, cs, x_at, dh_seq, grad[cols].T,
                                      wxs[layer], whs[layer], dw[layer], dx_seq)
                 dh_seq = dx_seq
-            if dx is not None:
-                dx[cols] = dh_seq.transpose(2, 0, 1)
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())
@@ -429,10 +428,8 @@ def lstm_stack(
                 wh.add_grad(dwhT.T.copy())
             if b.requires_grad:
                 b.add_grad(db)
-        if dx is not None:
-            x.add_grad(dx)
 
-    parents = (x, *(t for triple in layer_params for t in triple))
+    parents = tuple(t for triple in layer_params for t in triple)
     return Tensor._from_op(h_last, parents, bw)
 
 
@@ -536,13 +533,13 @@ def _fusion_head(
 
 
 def _recurrent_batch(
-    windows: Tensor, a_hat, spec: ModelSpec, params, training: bool, rng
+    windows: np.ndarray, a_hat, spec: ModelSpec, params, training: bool, rng
 ) -> Tensor:
     """lstm and hybrid: per-stock LSTM embeddings (B, N, H), joined in the
     hybrid by their graph convolution, read by the fusion head."""
     n_batch, length, n_stocks = windows.shape
     # one scalar sequence per (sample, stock); the LSTM weights are shared
-    seq = reshape(swapaxes(windows, 1, 2), (n_batch * n_stocks, length, 1))
+    seq = np.ascontiguousarray(windows.swapaxes(1, 2)).reshape(n_batch * n_stocks, length, 1)
     h = lstm_stack(
         seq, _layer_triples(params, spec.lstm_layers), spec.train.dropout, training, rng
     )
@@ -553,23 +550,27 @@ def _recurrent_batch(
     return reshape(out, (n_batch, n_stocks))
 
 
-def _dense_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
+def _dense_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     n_batch, length, n_stocks = windows.shape
-    h = reshape(windows, (n_batch, length * n_stocks))
+    h = Tensor(windows.reshape(n_batch, length * n_stocks))
     for k in range(len(spec.dense_hidden)):
         h = relu(add(matmul(h, params[f"dense{k}.w"]), params[f"dense{k}.b"]))
     return add(matmul(h, params["out.w"]), params["out.b"])
 
 
-def _cnn_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
+def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     """cnn1d: one ReLU convolution over each stock's window, mean-pooled over
     its L - k + 1 positions, then a linear head shared across stocks."""
     n_batch, length, n_stocks = windows.shape
-    series = reshape(swapaxes(windows, 1, 2), (n_batch * n_stocks, length))
-    patches = unfold(series, spec.cnn_kernel)  # (B*N, P, kernel)
-    n_rows, n_positions, _ = patches.shape
+    if length < spec.cnn_kernel:
+        raise ShapeMismatchError(f"window length {length} < kernel {spec.cnn_kernel}")
+    # (B, N, P, kernel): every window of `kernel` consecutive days of each stock
+    patches = np.lib.stride_tricks.sliding_window_view(
+        windows.swapaxes(1, 2), spec.cnn_kernel, axis=-1)
+    n_rows, n_positions = n_batch * n_stocks, patches.shape[2]
     # every position in one 2-D matmul, whose weight gradient is one product
-    conv = matmul(reshape(patches, (n_rows * n_positions, spec.cnn_kernel)), params["conv.w"])
+    rows = Tensor(patches.reshape(n_rows * n_positions, spec.cnn_kernel))
+    conv = matmul(rows, params["conv.w"])
     act = reshape(relu(add(conv, params["conv.b"])), (n_rows, n_positions, spec.cnn_channels))
     pooled = matmul(Tensor(np.full((1, n_positions), 1.0 / n_positions)), act)  # (B*N, 1, C)
     out = add(matmul(pooled, params["head.w"]), params["head.b"])  # (B*N, 1, 1)
@@ -577,14 +578,15 @@ def _cnn_batch(windows: Tensor, spec: ModelSpec, params) -> Tensor:
 
 
 def model_forward(
-    windows: Tensor,
+    windows: np.ndarray,
     spec: ModelSpec,
     params: Mapping[str, Tensor],
     a_hat=None,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Batched dispatch: (B, L, N) windows -> (B, N) predictions."""
+    """Batched dispatch: a (B, L, N) window array -> (B, N) predictions; the
+    windows are data, so no gradient flows into them."""
     if spec.kind == "hybrid" and a_hat is None:
         raise ValueError("hybrid model needs a normalized adjacency")
     if spec.kind in ("hybrid", "lstm"):
@@ -595,8 +597,7 @@ def model_forward(
         return _cnn_batch(windows, spec, params)
     if spec.kind == "linreg":
         coef = params["ols.coef"].data  # (N, L+1)
-        x = windows.data
-        preds = np.einsum("bln,nl->bn", x, coef[:, :-1]) + coef[:, -1]
+        preds = np.einsum("bln,nl->bn", windows, coef[:, :-1]) + coef[:, -1]
         return Tensor(preds)
     raise ValueError(f"unknown kind {spec.kind!r}")
 
@@ -641,12 +642,12 @@ def _as_params(arrays: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor(a.copy(), requires_grad=True) for name, a in arrays.items()}
 
 
-def _windows(spec: ModelSpec, inputs: np.ndarray) -> Tensor:
-    """(B, L, N) windows as `train` and `predict` feed them to `model_forward`:
-    float32 for the lstm and hybrid, whose LSTM kernel then computes in
-    float32, float64 for the other kinds."""
+def _windows(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
+    """The (B, L, N) window array as `train` and `predict` feed it to
+    `model_forward`: float32 for the lstm and hybrid, whose LSTM kernel then
+    computes in float32, float64 for the other kinds."""
     dtype = np.float32 if spec.kind in ("hybrid", "lstm") else np.float64
-    return Tensor(np.asarray(inputs, dtype=dtype))
+    return np.asarray(inputs, dtype=dtype)
 
 
 def train(
@@ -675,13 +676,10 @@ def train(
     if spec.kind == "linreg":
         coef = _fit_linreg_all(dataset)
         params = {"ols.coef": Tensor(coef)}
-        preds = model_forward(Tensor(dataset.inputs), spec, params)
+        preds = model_forward(dataset.inputs, spec, params)
         fit_mse = float(np.mean((preds.data - dataset.targets) ** 2))
         return TrainResult(params=params, history=[(fit_mse, math.nan)],
                            best_epoch=1, stopped_early=False)
-
-    if spec.kind == "hybrid" and a_hat is None:
-        raise ValueError("hybrid model needs a normalized adjacency")
 
     n_samples = len(dataset)
     n_val = 0
@@ -716,9 +714,8 @@ def train(
         for lo in range(0, n_train, batch):
             idx = order[lo : lo + batch]
             x = _windows(spec, train_x[idx])
-            y = Tensor(train_y[idx])
             pred = model_forward(x, spec, params, a_hat, training=True, rng=rng)
-            loss = mse_loss(pred, y)
+            loss = mse_loss(pred, train_y[idx])
             value = float(loss.data)
             if not math.isfinite(value):
                 raise DivergedLossError(f"epoch {epoch}: training loss {value}")

@@ -93,7 +93,7 @@ class TestGradientCorrectness:
             window = rng.uniform(0.1, 0.9, (2, 4, 3))
             target = rng.uniform(0.1, 0.9, (2, 3))
             err = self._check(
-                lambda p: mse_loss(model_forward(Tensor(window), spec, p), Tensor(target)),
+                lambda p: mse_loss(model_forward(window, spec, p), target),
                 params,
             )
             worst["dense"] = max(worst.get("dense", 0.0), err)
@@ -107,8 +107,8 @@ class TestGradientCorrectness:
             cell_target = rng.normal(size=(1, 3))
             err = self._check(
                 lambda p: mse_loss(
-                    lstm_stack(Tensor(seq), [(p["lstm0.wx"], p["lstm0.wh"], p["lstm0.b"])]),
-                    Tensor(cell_target),
+                    lstm_stack(seq, [(p["lstm0.wx"], p["lstm0.wh"], p["lstm0.b"])]),
+                    cell_target,
                 ),
                 cell_params,
             )
@@ -125,7 +125,7 @@ class TestGradientCorrectness:
             features = rng.normal(size=(4, 3))
             gcn_target = rng.normal(size=(4, 2))
             err = self._check(
-                lambda p: mse_loss(gcn_forward(features, a_hat, p), Tensor(gcn_target)),
+                lambda p: mse_loss(gcn_forward(features, a_hat, p), gcn_target),
                 gcn_params,
             )
             worst["gcn"] = max(worst.get("gcn", 0.0), err)
@@ -134,7 +134,7 @@ class TestGradientCorrectness:
             params_c = init_params(spec_c, 3, 5, rng)
             window_c = rng.uniform(0.1, 0.9, (2, 5, 3))
             err = self._check(
-                lambda p: mse_loss(model_forward(Tensor(window_c), spec_c, p), Tensor(target)),
+                lambda p: mse_loss(model_forward(window_c, spec_c, p), target),
                 params_c,
             )
             worst["cnn1d"] = max(worst.get("cnn1d", 0.0), err)
@@ -145,7 +145,7 @@ class TestGradientCorrectness:
             hybrid_target = rng.uniform(0.1, 0.9, (1, 3))
             err = self._check(
                 lambda p: mse_loss(
-                    model_forward(Tensor(window[:1]), spec_h, p, adj), Tensor(hybrid_target)
+                    model_forward(window[:1], spec_h, p, adj), hybrid_target
                 ),
                 params_h,
             )
@@ -307,7 +307,7 @@ class TestEarlyStopping:
         result = train(spec, ds, seed=2)
         vals = [v for _, v in result.history]
         n_val = round(0.25 * 24)
-        pred = model_forward(Tensor(inputs[-n_val:]), spec, result.params)
+        pred = model_forward(inputs[-n_val:], spec, result.params)
         achieved = float(np.mean((pred.data - targets[-n_val:]) ** 2))
         assert achieved == pytest.approx(min(vals), abs=1e-15)
         report("returned parameters achieve the best observed validation loss")

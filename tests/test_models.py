@@ -5,10 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from stockcast.autodiff import Tensor, backward, matmul, mse_loss, reshape, topo_order
+from stockcast.autodiff import Tensor, backward, mse_loss, topo_order
 from stockcast.errors import (
     DivergedLossError,
     EmptyDatasetError,
+    InvalidRateError,
     ShapeMismatchError,
 )
 from stockcast import models
@@ -62,12 +63,12 @@ def lstm_last_hidden(seq, params, layers, **kwargs):
     """lstm_stack over a batch of one (L, d) sequence: final hidden state (1, H)."""
     triples = [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
                for k in range(layers)]
-    return lstm_stack(Tensor(seq[None]), triples, **kwargs)
+    return lstm_stack(seq[None], triples, **kwargs)
 
 
 def forward_one(spec, params, window, a_hat=None):
     """model_forward on a batch of one (L, N) window: predictions (1, N)."""
-    return model_forward(Tensor(window[None]), spec, params, a_hat)
+    return model_forward(window[None], spec, params, a_hat)
 
 
 class TestLstm:
@@ -98,7 +99,7 @@ class TestLstm:
         target = rng.normal(size=(1, 4))
 
         def build(p):
-            return mse_loss(lstm_last_hidden(seq, p, layers=1), Tensor(target))
+            return mse_loss(lstm_last_hidden(seq, p, layers=1), target)
 
         assert gradient_check(build, params, max_coords=12) < 1e-4
 
@@ -112,7 +113,7 @@ class TestLstm:
         seq = rng.normal(size=(1, 3))
         target = rng.normal(size=(1, 2))
         err = gradient_check(
-            lambda p: mse_loss(lstm_last_hidden(seq, p, layers=1), Tensor(target)),
+            lambda p: mse_loss(lstm_last_hidden(seq, p, layers=1), target),
             params,
             max_coords=12,
         )
@@ -120,19 +121,20 @@ class TestLstm:
 
     def test_stacked_recurrence_with_dropout_gradients(self, rng):
         # four time steps through two layers, with dropout between them in
-        # training mode; every coordinate of the weights and the input is probed
+        # training mode; every coordinate of the weights is probed
         shapes = {"lstm0.wx": (2, 12), "lstm0.wh": (3, 12), "lstm0.b": (12,),
-                  "lstm1.wx": (3, 12), "lstm1.wh": (3, 12), "lstm1.b": (12,), "x": (2, 4, 2)}
+                  "lstm1.wx": (3, 12), "lstm1.wh": (3, 12), "lstm1.b": (12,)}
         params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
                   for name, shape in shapes.items()}
+        x = rng.normal(scale=0.5, size=(2, 4, 2))
         target = rng.normal(size=(2, 3))
 
         def build(p, training=True):
             triples = [(p[f"lstm{k}.wx"], p[f"lstm{k}.wh"], p[f"lstm{k}.b"]) for k in range(2)]
             # reseeded on every call, so each evaluation draws the same masks
             masks = np.random.Generator(np.random.PCG64(7))
-            h = lstm_stack(p["x"], triples, dropout_rate=0.5, training=training, rng=masks)
-            return mse_loss(h, Tensor(target))
+            h = lstm_stack(x, triples, dropout_rate=0.5, training=training, rng=masks)
+            return mse_loss(h, target)
 
         assert build(params).item() != build(params, training=False).item()
         assert gradient_check(build, params, max_coords=36) < 1e-4
@@ -141,14 +143,23 @@ class TestLstm:
         params = init_params(tiny_spec("lstm"), 1, 4, rng)
         triples = [(params["lstm0.wx"], params["lstm0.wh"], params["lstm0.b"])]
         with pytest.raises(ShapeMismatchError):
-            lstm_stack(Tensor(np.zeros((2, 3, 5))), triples)  # input width 5 vs wx rows 1
+            lstm_stack(np.zeros((2, 3, 5)), triples)  # input width 5 vs wx rows 1
 
     def test_upper_layer_input_width_is_checked(self, rng):
         # layer 1 reads layer 0's H = 4 hidden states, so its wx must have 4 rows
         triples = two_layer_triples(init_params(tiny_spec("lstm"), 1, 4, rng))
         triples[1] = (Tensor(rng.normal(size=(3, 16)), requires_grad=True), *triples[1][1:])
         with pytest.raises(ShapeMismatchError, match=r"layer 1 on input width 4: wx \(3, 16\)"):
-            lstm_stack(Tensor(np.zeros((2, 3, 1))), triples)
+            lstm_stack(np.zeros((2, 3, 1)), triples)
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1])
+    def test_dropout_rate_outside_unit_interval(self, rng, rate):
+        # 1.5 would draw all-false masks with a scale of -2, 1.0 divide by
+        # zero, -0.1 keep every unit and scale it by 1 / 1.1
+        triples = two_layer_triples(init_params(tiny_spec("lstm"), 1, 4, rng))
+        for training in (True, False):
+            with pytest.raises(InvalidRateError):
+                lstm_stack(np.zeros((2, 3, 1)), triples, rate, training, np.random.default_rng(0))
 
     def test_dropout_between_layers_changes_training_output(self, rng):
         spec = tiny_spec("lstm")
@@ -163,16 +174,15 @@ class TestLstm:
 
 
 def two_layer_case(rng, n_batch, d=1, hidden=4, length=5, dtype=np.float64):
-    """float64 weights of a 2-layer stack, an input `x` of `dtype` (both as
-    tracked tensors in one dict) and a (n_batch, hidden) target."""
+    """Tracked float64 weights of a 2-layer stack, an input array `x` of
+    `dtype` and a (n_batch, hidden) target."""
     shapes = {"lstm0.wx": (d, 4 * hidden), "lstm0.wh": (hidden, 4 * hidden),
               "lstm0.b": (4 * hidden,), "lstm1.wx": (hidden, 4 * hidden),
               "lstm1.wh": (hidden, 4 * hidden), "lstm1.b": (4 * hidden,)}
     params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
               for name, shape in shapes.items()}
     x = rng.normal(scale=0.5, size=(n_batch, length, d)).astype(dtype)
-    params["x"] = Tensor(x, requires_grad=True)
-    return params, rng.normal(size=(n_batch, hidden))
+    return params, x, rng.normal(size=(n_batch, hidden))
 
 
 def two_layer_triples(params):
@@ -188,18 +198,16 @@ class TestLstmColumnBlocks:
     # 80 float32 ulps (eps 1.2e-7) for a different summation order
     RTOL = {np.float64: 1e-12, np.float32: 1e-5}
 
-    def loss(self, monkeypatch, width, params, target, dropout_rate):
+    def loss(self, monkeypatch, width, params, x, target, dropout_rate):
         """MSE of the stack's output, run in blocks of `width` sequences, with
         dropout masks drawn from a generator reseeded on every call; returns the
         loss and that generator."""
         hidden = params["lstm0.wh"].shape[0]
         # the block budget holds 12 rows of `hidden` per column, in the input's dtype
-        itemsize = params["x"].data.itemsize
-        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * itemsize * hidden)
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * x.itemsize * hidden)
         masks = np.random.Generator(np.random.PCG64(7))
-        h = lstm_stack(params["x"], two_layer_triples(params), dropout_rate, dropout_rate > 0,
-                       masks)
-        return mse_loss(h, Tensor(target)), masks
+        h = lstm_stack(x, two_layer_triples(params), dropout_rate, dropout_rate > 0, masks)
+        return mse_loss(h, target), masks
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_any_split_matches_one_block(self, monkeypatch, rng, d):
@@ -208,11 +216,11 @@ class TestLstmColumnBlocks:
         for n_batch, dtype in ((37, np.float64), (10, np.float64), (1, np.float64),
                                (37, np.float32)):
             rtol = self.RTOL[dtype]
-            params, target = two_layer_case(rng, n_batch, d, dtype=dtype)
+            params, x, target = two_layer_case(rng, n_batch, d, dtype=dtype)
             for rate in (0.0, 0.5):
                 runs = []
                 for width in (n_batch, 16):
-                    loss, masks = self.loss(monkeypatch, width, params, target, rate)
+                    loss, masks = self.loss(monkeypatch, width, params, x, target, rate)
                     grads = {k: g.copy() for k, g in backward(loss, params).items()}
                     runs.append((loss.item(), grads, masks.random()))
                 (loss_one, grads_one, next_one), (loss_blk, grads_blk, next_blk) = runs
@@ -232,9 +240,9 @@ class TestLstmColumnBlocks:
         assert models._lstm_block_width(np.dtype(np.float64), 32) == 512
 
     def test_gradients_across_blocks_match_finite_differences(self, monkeypatch, rng):
-        params, target = two_layer_case(rng, 37)
+        params, x, target = two_layer_case(rng, 37)
         err = gradient_check(
-            lambda p: self.loss(monkeypatch, 16, p, target, 0.5)[0], params, max_coords=24
+            lambda p: self.loss(monkeypatch, 16, p, x, target, 0.5)[0], params, max_coords=24
         )
         assert err < 1e-4
 
@@ -261,7 +269,7 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
     for lo in range(0, n_batch, width):
         cols = slice(lo, lo + width)
         # time-major, feature-by-batch blocks: inp[t] is (d, n) and contiguous
-        inp = np.ascontiguousarray(x.data[cols].transpose(1, 2, 0))
+        inp = np.ascontiguousarray(x[cols].transpose(1, 2, 0))
         n = inp.shape[2]
         caches = []
         for layer, (wxT, whT, bias) in enumerate(weights):
@@ -304,7 +312,6 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
     def bw(grad: np.ndarray) -> None:
         dw = [(np.zeros_like(wxT), np.zeros((4 * H, H)), np.zeros(4 * H))
               for wxT, _, _ in weights]  # (dwxT, dwhT, db) summed over blocks
-        dx = np.empty(x.shape) if x.requires_grad else None
         for cols, caches in blocks:
             upper_dx: np.ndarray | None = None  # d(loss)/d(input seq) of the layer above
             for layer in range(n_layers - 1, -1, -1):
@@ -313,7 +320,7 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
                 dwxT, dwhT, db = dw[layer]
                 d, n = inp_l.shape[1:]
                 mask = None if layer == n_layers - 1 else masks[layer]
-                need_dx = layer > 0 or x.requires_grad
+                need_dx = layer > 0
                 dx_seq = np.empty((length, d, n)) if need_dx else None
                 dz = np.empty((4 * H, n))
                 dc = np.zeros((H, n))
@@ -350,8 +357,6 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
                         np.matmul(wx.data, dz, out=dx_seq[t])
                     dc *= f
                 upper_dx = dx_seq
-            if dx is not None:
-                dx[cols] = upper_dx.transpose(2, 0, 1)
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())
@@ -359,10 +364,8 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
                 wh.add_grad(dwhT.T.copy())
             if b.requires_grad:
                 b.add_grad(db)
-        if dx is not None:
-            x.add_grad(dx)
 
-    parents = (x, *(t for triple in layer_params for t in triple))
+    parents = tuple(t for triple in layer_params for t in triple)
     return Tensor._from_op(h_last, parents, bw)
 
 
@@ -371,13 +374,12 @@ class TestLstmDtype:
     float32 windows for the lstm and hybrid only."""
 
     def run(self, kernel, x, params, target, rate):
-        """The kernel's output and the loss gradients of the weights (and of
-        `x`, when it is tracked), with masks from a freshly seeded generator."""
+        """The kernel's output and the loss gradients of the weights, with
+        masks from a freshly seeded generator."""
         h = kernel(x, two_layer_triples(params), rate, rate > 0,
                    np.random.Generator(np.random.PCG64(7)))
         out = h.data.copy()
-        tracked = {**params, "x": x} if x.requires_grad else params
-        grads = {k: g.copy() for k, g in backward(mse_loss(h, Tensor(target)), tracked).items()}
+        grads = {k: g.copy() for k, g in backward(mse_loss(h, target), params).items()}
         return out, grads
 
     def test_float32_agrees_with_float64(self, rng):
@@ -385,8 +387,8 @@ class TestLstmDtype:
         params = init_params(tiny_spec("lstm", hidden_size=32), 1, 11, rng)
         seq = rng.uniform(0.0, 1.0, size=(1100, 11, 1))
         target = rng.normal(size=(1100, 32))
-        h64, g64 = self.run(lstm_stack, Tensor(seq), params, target, 0.5)
-        h32, g32 = self.run(lstm_stack, Tensor(seq.astype(np.float32)), params, target, 0.5)
+        h64, g64 = self.run(lstm_stack, seq, params, target, 0.5)
+        h32, g32 = self.run(lstm_stack, seq.astype(np.float32), params, target, 0.5)
         assert h64.dtype == np.float64 and h32.dtype == np.float32
         # hidden states near 0 carry absolute round-off, so the floor is 1e-5 of their scale
         np.testing.assert_allclose(h32, h64, rtol=1e-5, atol=1e-5 * np.abs(h64).max())
@@ -397,12 +399,11 @@ class TestLstmDtype:
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
     def test_float64_is_bitwise_the_float64_only_kernel(self, monkeypatch, rng, rate):
-        # 37 sequences in 16-sequence blocks, a width-3 input and a tracked x, so
-        # every path of the kernel runs; the bool masks times the rounded
-        # 1 / (1 - rate) give the float masks' bits at every rate
+        # 37 sequences in 16-sequence blocks and a width-3 input, so every path
+        # of the kernel runs; the bool masks times the rounded 1 / (1 - rate)
+        # give the float masks' bits at every rate
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 96 * 4)
-        params, target = two_layer_case(rng, 37, d=3)
-        x = params.pop("x")
+        params, x, target = two_layer_case(rng, 37, d=3)
         h_new, g_new = self.run(lstm_stack, x, params, target, rate)
         h_old, g_old = self.run(float64_only_lstm_stack, x, params, target, rate)
         assert np.array_equal(h_new, h_old)
@@ -416,7 +417,7 @@ class TestLstmDtype:
         calls = []
 
         def spy(x, layer_params, dropout_rate=0.0, training=False, rng=None):
-            calls.append((training, x.data.dtype))
+            calls.append((training, x.dtype))
             return real(x, layer_params, dropout_rate, training, rng)
 
         monkeypatch.setattr(models, "lstm_stack", spy)
@@ -436,7 +437,7 @@ class TestLstmDtype:
         dtypes = set()
 
         def spy(windows, *args, **kwargs):
-            dtypes.add(windows.data.dtype)
+            dtypes.add(windows.dtype)
             return real(windows, *args, **kwargs)
 
         monkeypatch.setattr(models, "model_forward", spy)
@@ -445,7 +446,7 @@ class TestLstmDtype:
         result = train(spec, ds)
         pred = predict(spec, result.params, ds.inputs[-1])
         assert dtypes == {np.dtype(np.float64)}
-        expected = real(Tensor(ds.inputs[-1:]), spec, result.params).data[0]
+        expected = real(ds.inputs[-1:], spec, result.params).data[0]
         assert np.array_equal(pred, expected)
 
 
@@ -456,7 +457,7 @@ class TestLstmTape:
     def test_tape_holds_gates_and_cells_only(self, rng):
         n_batch, length, hidden = 1100, 11, 32
         params = init_params(tiny_spec("lstm", hidden_size=hidden), 1, length, rng)
-        x = Tensor(rng.uniform(0.0, 1.0, size=(n_batch, length, 1)).astype(np.float32))
+        x = rng.uniform(0.0, 1.0, size=(n_batch, length, 1)).astype(np.float32)
         masks = np.random.Generator(np.random.PCG64(7))
         # what the output holds is what dropping it frees; tracemalloc sees
         # numpy's buffers, and the reused work arrays stay allocated
@@ -472,19 +473,25 @@ class TestLstmTape:
         budget = 2 * length * 5 * hidden * n_batch * np.dtype(np.float32).itemsize
         assert budget <= held <= 1.1 * budget, held / budget
 
+    def test_tape_parents_are_the_weights_only(self, rng):
+        # the input is data, so the tape reaches the weights only
+        params, x, _ = two_layer_case(rng, 3)
+        h = lstm_stack(x, two_layer_triples(params))
+        assert h._parents == tuple(params.values())
+
     def test_work_arrays_are_never_read_through_a_live_tape(self, monkeypatch, rng):
         # 37 sequences in 16-sequence blocks; an eval forward of other inputs
         # and another batch size runs between A's forward and A's backward
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
-        params, target = two_layer_case(rng, 37, d=3)
-        other = Tensor(rng.normal(size=(21, 5, 3)))
+        params, x, target = two_layer_case(rng, 37, d=3)
+        other = rng.normal(size=(21, 5, 3))
 
         def grads_of_a(between=None):
-            h = lstm_stack(params["x"], two_layer_triples(params), 0.5, True,
+            h = lstm_stack(x, two_layer_triples(params), 0.5, True,
                            np.random.Generator(np.random.PCG64(7)))
             if between is not None:
                 between()
-            return {k: g.copy() for k, g in backward(mse_loss(h, Tensor(target)), params).items()}
+            return {k: g.copy() for k, g in backward(mse_loss(h, target), params).items()}
 
         alone = grads_of_a()
         interleaved = grads_of_a(lambda: lstm_stack(other, two_layer_triples(params)))
@@ -495,12 +502,12 @@ class TestLstmTape:
         # dropout between the layers, so the recomputed upper-layer input carries
         # masks; 37 sequences in 16-sequence blocks, the last one ragged
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
-        params, target = two_layer_case(rng, 37, d=3)
+        params, x, target = two_layer_case(rng, 37, d=3)
 
         def loss(p) -> Tensor:
-            h = lstm_stack(p["x"], two_layer_triples(p), 0.5, True,
+            h = lstm_stack(x, two_layer_triples(p), 0.5, True,
                            np.random.Generator(np.random.PCG64(7)))
-            return mse_loss(h, Tensor(target))
+            return mse_loss(h, target)
 
         for name, err in coordinate_errors(loss, params).items():
             assert err < 1e-4, (name, err)
@@ -544,7 +551,7 @@ class TestGcn:
         target = rng.normal(size=(4, 2))
 
         def build(p):
-            return mse_loss(gcn_forward(features, a_hat, p), Tensor(target))
+            return mse_loss(gcn_forward(features, a_hat, p), target)
 
         assert gradient_check(build, params, max_coords=12) < 1e-4
 
@@ -563,19 +570,20 @@ class TestHybrid:
         assert out.shape == (1, n)
 
     def test_edgeless_graph_isolation_analytic(self, rng):
-        n = 4
+        # bump each (t, j) entry of the window in turn: only stock j's output moves
+        n, length = 4, 4
         spec = tiny_spec("hybrid")
-        params = init_params(spec, n, 4, rng)
-        window = Tensor(rng.uniform(0.1, 0.9, (1, 4, n)), requires_grad=True)
-        out = model_forward(window, spec, params, edgeless_adjacency(n))
-        target_stock = 1
-        pick = np.zeros((n, 1))
-        pick[target_stock] = 1.0
-        backward(reshape(matmul(out, Tensor(pick)), ()))  # d out[0, target_stock]
-        grads = window.grad[0]  # (L, N)
-        others = [j for j in range(n) if j != target_stock]
-        assert np.all(grads[:, others] == 0.0)
-        assert np.any(grads[:, target_stock] != 0.0)
+        params = init_params(spec, n, length, rng)
+        window = rng.uniform(0.1, 0.9, (length, n))
+        base = forward_one(spec, params, window, edgeless_adjacency(n)).data[0]
+        for t in range(length):
+            for j in range(n):
+                bumped = window.copy()
+                bumped[t, j] += 0.05
+                out = forward_one(spec, params, bumped, edgeless_adjacency(n)).data[0]
+                others = [k for k in range(n) if k != j]
+                assert np.array_equal(out[others], base[others]), (t, j)
+                assert out[j] != base[j], (t, j)
 
     def test_edgeless_graph_isolation_finite_difference(self, rng):
         n = 3
@@ -635,7 +643,7 @@ class TestHybrid:
         target = rng.uniform(0.1, 0.9, (1, n))
 
         def build(p):
-            return mse_loss(forward_one(spec, p, window, a_hat), Tensor(target))
+            return mse_loss(forward_one(spec, p, window, a_hat), target)
 
         assert gradient_check(build, params, max_coords=8) < 1e-4
 
@@ -648,7 +656,7 @@ class TestBaselines:
         bias = rng.normal(size=3)
         zeros["out.b"] = Tensor(bias, requires_grad=True)
         window = rng.uniform(0, 1, (4, 3))
-        out = model_forward(Tensor(window[None]), spec, zeros)
+        out = model_forward(window[None], spec, zeros)
         assert np.allclose(out.data[0], bias)
 
     def test_cnn_output_length_for_any_lookback(self, rng):
@@ -656,63 +664,61 @@ class TestBaselines:
         for lookback in (3, 5, 9):
             params = init_params(spec, 4, lookback, rng)
             window = rng.uniform(0, 1, (lookback, 4))
-            out = model_forward(Tensor(window[None]), spec, params)
+            out = model_forward(window[None], spec, params)
             assert out.shape == (1, 4)
 
     def test_cnn_needs_kernel_length(self, rng):
         spec = tiny_spec("cnn1d")
         params = init_params(spec, 2, 2, rng)
         with pytest.raises(ShapeMismatchError):
-            model_forward(Tensor(np.zeros((1, 2, 2))), spec, params)
+            model_forward(np.zeros((1, 2, 2)), spec, params)
 
     def test_cnn_matches_the_per_position_reference(self, rng):
         # numpy reference: one ReLU convolution per window position, summed,
-        # divided by the position count, then the head; gradients by hand
-        spec = tiny_spec("cnn1d", cnn_channels=4, cnn_kernel=3)
-        n_batch, length, n_stocks = 5, 7, 3
-        params = init_params(spec, n_stocks, length, rng)
-        window_data = rng.uniform(0.1, 0.9, (n_batch, length, n_stocks))
-        target = rng.uniform(0.1, 0.9, (n_batch, n_stocks))
-        window = Tensor(window_data, requires_grad=True)
-        out = model_forward(window, spec, params)
-        grads = backward(mse_loss(out, Tensor(target)), params)
-
-        w, b = params["conv.w"].data, params["conv.b"].data
-        hw, hb = params["head.w"].data, params["head.b"].data
-        series = window_data.transpose(0, 2, 1).reshape(-1, length)
-        n_positions = length - 3 + 1
-        patches = [series[:, p:p + 3] for p in range(n_positions)]
-        pre = [patch @ w + b for patch in patches]
-        pooled = sum(np.maximum(z, 0.0) for z in pre) * (1.0 / n_positions)
-        ref_out = (pooled @ hw + hb).reshape(n_batch, n_stocks)
-        g_out = (2.0 / ref_out.size) * (ref_out - target).reshape(-1, 1)
-        g_pooled = g_out @ hw.T / n_positions
-        g_pre = [g_pooled * (z > 0.0) for z in pre]
-        g_series = np.zeros_like(series)
-        for p, g in enumerate(g_pre):
-            g_series[:, p:p + 3] += g @ w.T
-        ref = {
-            "conv.w": sum(patch.T @ g for patch, g in zip(patches, g_pre)),
-            "conv.b": sum(g.sum(axis=0) for g in g_pre),
-            "head.w": pooled.T @ g_out,
-            "head.b": g_out.sum(axis=0),
-            "window": g_series.reshape(n_batch, n_stocks, length).transpose(0, 2, 1),
-        }
-
+        # divided by the position count, then the head; gradients by hand.
+        # Kernels 1 and L are the edge cases of the patch matrix: L positions, and one
         def rel(a, b):
             return np.abs(a - b).max() / np.abs(b).max()
 
-        assert rel(out.data, ref_out) < 1e-12
-        for name, g in {**grads, "window": window.grad}.items():
-            assert rel(g, ref[name]) < 1e-12, name
+        n_batch, length, n_stocks = 5, 7, 3
+        for k in (3, 1, length):
+            spec = tiny_spec("cnn1d", cnn_channels=4, cnn_kernel=k,
+                             train=tiny_config(lookback=length))
+            params = init_params(spec, n_stocks, length, rng)
+            window = rng.uniform(0.1, 0.9, (n_batch, length, n_stocks))
+            target = rng.uniform(0.1, 0.9, (n_batch, n_stocks))
+            out = model_forward(window, spec, params)
+            grads = backward(mse_loss(out, target), params)
+
+            w, b = params["conv.w"].data, params["conv.b"].data
+            hw, hb = params["head.w"].data, params["head.b"].data
+            series = window.transpose(0, 2, 1).reshape(-1, length)
+            n_positions = length - k + 1
+            patches = [series[:, p:p + k] for p in range(n_positions)]
+            pre = [patch @ w + b for patch in patches]
+            pooled = sum(np.maximum(z, 0.0) for z in pre) * (1.0 / n_positions)
+            ref_out = (pooled @ hw + hb).reshape(n_batch, n_stocks)
+            g_out = (2.0 / ref_out.size) * (ref_out - target).reshape(-1, 1)
+            g_pooled = g_out @ hw.T / n_positions
+            g_pre = [g_pooled * (z > 0.0) for z in pre]
+            ref = {
+                "conv.w": sum(patch.T @ g for patch, g in zip(patches, g_pre)),
+                "conv.b": sum(g.sum(axis=0) for g in g_pre),
+                "head.w": pooled.T @ g_out,
+                "head.b": g_out.sum(axis=0),
+            }
+
+            assert rel(out.data, ref_out) < 1e-12, k
+            for name, g in grads.items():
+                assert rel(g, ref[name]) < 1e-12, (k, name)
 
     def test_cnn_tape_does_not_grow_with_lookback(self, rng):
         spec = tiny_spec("cnn1d")
         sizes = set()
         for lookback in (3, 5, 11):
             params = init_params(spec, 2, lookback, rng)
-            out = model_forward(Tensor(rng.uniform(0, 1, (2, lookback, 2))), spec, params)
-            sizes.add(len(topo_order(mse_loss(out, Tensor(np.zeros((2, 2)))))))
+            out = model_forward(rng.uniform(0, 1, (2, lookback, 2)), spec, params)
+            sizes.add(len(topo_order(mse_loss(out, np.zeros((2, 2))))))
         assert len(sizes) == 1
 
     def test_dense_and_cnn_gradients(self, rng):
@@ -722,7 +728,7 @@ class TestBaselines:
             window = rng.uniform(0.1, 0.9, (1, 5, 3))
             target = rng.uniform(0.1, 0.9, (1, 3))
             err = gradient_check(
-                lambda p: mse_loss(model_forward(Tensor(window), spec, p), Tensor(target)),
+                lambda p: mse_loss(model_forward(window, spec, p), target),
                 params,
                 max_coords=10,
             )
@@ -742,7 +748,7 @@ class TestLinreg:
         coef = linreg_fit(dataset, 0)
         assert abs(coef[0] - 2.0) < 1e-9
         assert abs(coef[1] - 1.0) < 1e-9
-        pred = model_forward(Tensor(np.full((1, 1, 1), 0.25)), ModelSpec("linreg"),
+        pred = model_forward(np.full((1, 1, 1), 0.25), ModelSpec("linreg"),
                              {"ols.coef": Tensor(coef[None])})
         assert pred.data[0, 0] == pytest.approx(1.5, abs=1e-9)
 
@@ -811,8 +817,14 @@ class TestTrain:
             train(tiny_spec("dense"), empty)
 
     def test_hybrid_requires_adjacency(self, rng):
-        with pytest.raises(ValueError):
-            train(tiny_spec("hybrid"), make_dataset(rng))
+        # train and predict both meet model_forward's one check
+        spec = tiny_spec("hybrid")
+        ds = make_dataset(rng)
+        with pytest.raises(ValueError, match="hybrid model needs a normalized adjacency"):
+            train(spec, ds, a_hat=None)
+        params = train(spec, ds, edgeless_adjacency(3)).params
+        with pytest.raises(ValueError, match="hybrid model needs a normalized adjacency"):
+            predict(spec, params, ds.inputs[-1], a_hat=None)
 
     def test_linreg_history_has_single_entry(self, rng):
         ds = make_dataset(rng, n_samples=14, lookback=4)
@@ -832,7 +844,7 @@ class TestTrain:
         result = train(spec, ds)
         vals = [v for _, v in result.history]
         n_val = round(0.25 * len(ds))
-        check = model_forward(Tensor(ds.inputs[-n_val:]), spec, result.params)
+        check = model_forward(ds.inputs[-n_val:], spec, result.params)
         val_of_returned = float(np.mean((check.data - ds.targets[-n_val:]) ** 2))
         assert val_of_returned == pytest.approx(min(vals), abs=1e-15)
         assert result.best_epoch == int(np.argmin(vals)) + 1
