@@ -79,7 +79,6 @@ class ReturnPanel:
     """Simple daily returns; row t holds (close[t+1] - close[t]) / close[t] of the parent panel."""
 
     tickers: list[str]
-    dates: list[date]  # first date of the parent panel dropped
     returns: np.ndarray  # (T-1, N) float64
 
 
@@ -213,7 +212,7 @@ def daily_returns(panel: PricePanel) -> ReturnPanel:
         raise PanelTooShortError(f"need >= 2 dates, panel has {panel.n_days}")
     prev = panel.close[:-1]
     returns = (panel.close[1:] - prev) / prev
-    return ReturnPanel(tickers=list(panel.tickers), dates=panel.dates[1:], returns=returns)
+    return ReturnPanel(tickers=list(panel.tickers), returns=returns)
 
 
 def fit_scaler(panel: PricePanel) -> Scaler:

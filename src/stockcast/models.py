@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -212,33 +212,16 @@ def _lstm_layer_forward(
     return gates, cs
 
 
-def _lstm_recomputed_input(
-    gates: np.ndarray, cs: np.ndarray, mask: np.ndarray | None, keep: np.floating
-) -> Callable[[int], np.ndarray]:
-    """Step t of an upper layer's input, recomputed as the forward made it
-    from the layer below's gates and cells: o * tanh(c), times the dropout
-    mask and scale. Each call overwrites the array the last one returned."""
-    H = cs.shape[1]
-    x_t = _work("x_t", cs.shape[1:], cs.dtype)
-
-    def at(t: int) -> np.ndarray:
-        np.tanh(cs[t], out=x_t)
-        np.multiply(x_t, gates[t, 2 * H : 3 * H], out=x_t)
-        if mask is not None:
-            np.multiply(x_t, mask[t], out=x_t)
-            np.multiply(x_t, keep, out=x_t)
-        return x_t
-
-    return at
-
-
 def _lstm_layer_backward(
-    gates: np.ndarray, cs: np.ndarray, x_at: Callable[[int], np.ndarray],
+    gates: np.ndarray, cs: np.ndarray, x_seq: np.ndarray,
     dh_seq: np.ndarray | None, dh_last: np.ndarray, wx: np.ndarray, wh: np.ndarray,
     dw: tuple[np.ndarray, np.ndarray, np.ndarray], dx_seq: np.ndarray | None,
 ) -> None:
     """Backward of one layer over one column block from its taped gates and
-    cells; `x_at(t)` gives the layer's input at step t. `dh_seq` (L, H, n) is
+    cells and its (L, d, n) input `x_seq`: layer 0's taped input, or an upper
+    layer's input that `lstm_stack` rebuilds for all L steps at once with the
+    forward's elementwise operations, which give the same bits at any array
+    shape. `dh_seq` (L, H, n) is
     the gradient of every hidden state from the layer above (overwritten), or
     None for the top layer, whose one incoming gradient is `dh_last` at the
     last step. Adds the weight gradients to the float64 `dw` and writes the
@@ -296,7 +279,7 @@ def _lstm_layer_backward(
             np.multiply(gates[t - 1, 2 * H : 3 * H], tc_prev, out=h_prev)
             dwhT += dz @ h_prev.T
             np.matmul(wh, dz, out=dh_carry)  # dh is no longer read
-        dwxT += dz @ x_at(t).T
+        dwxT += dz @ x_seq[t].T
         db += dz.sum(axis=1)
         if dx_seq is not None:
             np.matmul(wx, dz, out=dx_seq[t])
@@ -341,9 +324,11 @@ def lstm_stack(
     h and each upper layer's input as well would take 7H to 8H. The backward
     recomputes those with the forward's own operations on the same operands:
     tanh of the cells, h_{t-1} = o_{t-1} * tanh(c_{t-1}), and an upper
-    layer's input o * tanh(c) * mask * keep of the layer below. Elementwise
-    IEEE operations on the same values give the same bits, so the recomputed
-    arrays, and every result, are bitwise what caching them gives.
+    layer's input o * tanh(c) * mask * keep of the layer below, rebuilt for
+    all steps of a block at once into the forward's `hs` work array.
+    Elementwise IEEE operations on the same values give the same bits at any
+    array shape, one step or all L at once, so the recomputed arrays, and
+    every result, are bitwise what caching them gives.
     The sigmoid rows take their 0.5 from pre-halved weight and bias copies:
     halving is exact short of the subnormal range, so z / 2 comes out bitwise
     as well. Work arrays come from `_work` and are reused across calls.
@@ -407,18 +392,23 @@ def lstm_stack(
             dh_seq: np.ndarray | None = None  # d(loss)/d(h) from the layer above
             for layer in range(n_layers - 1, -1, -1):
                 gates, cs = tape[layer]
+                x_seq = inp0
                 if layer > 0:
-                    mask = None if masks[layer - 1] is None else masks[layer - 1][:, :, cols]
-                    x_at = _lstm_recomputed_input(*tape[layer - 1], mask, keep)
-                else:
-                    x_at = inp0.__getitem__
+                    # rebuilt into `hs`, which only the forward otherwise writes
+                    gates_below, cs_below = tape[layer - 1]
+                    x_seq = _work("hs", cs_below.shape, dtype)
+                    np.tanh(cs_below, out=x_seq)
+                    x_seq *= gates_below[:, 2 * H : 3 * H]
+                    if masks[layer - 1] is not None:
+                        x_seq *= masks[layer - 1][:, :, cols]
+                        x_seq *= keep
                 if dh_seq is not None and masks[layer] is not None:
                     dh_seq *= masks[layer][:, :, cols]
                     dh_seq *= keep
                 dx_seq = None
                 if layer > 0:
                     dx_seq = _work(f"dx{layer % 2}", (length, H, n), dtype)
-                _lstm_layer_backward(gates, cs, x_at, dh_seq, grad[cols].T,
+                _lstm_layer_backward(gates, cs, x_seq, dh_seq, grad[cols].T,
                                      wxs[layer], whs[layer], dw[layer], dx_seq)
                 dh_seq = dx_seq
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
@@ -604,7 +594,10 @@ def model_forward(
 
 # -- ordinary least squares baseline ---------------------------------------
 
-def linreg_fit(dataset: WindowDataset, stock: int, ridge: float = 1e-8) -> np.ndarray:
+_LINREG_RIDGE = 1e-8
+
+
+def linreg_fit(dataset: WindowDataset, stock: int) -> np.ndarray:
     """OLS of the next scaled close on the stock's own lagged closes plus an
     intercept, via normal equations; falls back to ridge on singularity."""
     lags = dataset.inputs[:, :, stock]
@@ -622,7 +615,7 @@ def linreg_fit(dataset: WindowDataset, stock: int, ridge: float = 1e-8) -> np.nd
     except np.linalg.LinAlgError:
         pass
     try:
-        return np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+        return np.linalg.solve(gram + _LINREG_RIDGE * np.eye(gram.shape[0]), rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError(f"stock {stock}: system singular even with ridge") from None
 

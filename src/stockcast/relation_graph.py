@@ -117,7 +117,7 @@ def pearson_matrix(returns: ReturnPanel) -> np.ndarray:
     return rho
 
 
-def correlation_edges(rho: np.ndarray, tau: float = 0.7) -> np.ndarray:
+def correlation_edges(rho: np.ndarray, tau: float) -> np.ndarray:
     """(N, N) weights in the order of `rho`: |rho| where it is strictly above
     tau, else 0; the diagonal is 0. Each pair reads rho above the diagonal."""
     if not 0.0 < tau < 1.0:
@@ -127,7 +127,7 @@ def correlation_edges(rho: np.ndarray, tau: float = 0.7) -> np.ndarray:
     return upper + upper.T
 
 
-def co_movement_transactions(returns: ReturnPanel, move_threshold: float = 0.001) -> TransactionDB:
+def co_movement_transactions(returns: ReturnPanel, move_threshold: float) -> TransactionDB:
     """One transaction per day: a ticker contributes (ticker, UP) when its
     return exceeds move_threshold, (ticker, DOWN) when it is below its
     negative, else nothing."""
@@ -190,8 +190,8 @@ def apriori_frequent(
 
 def mine_rules(
     frequents: Mapping[frozenset[Item], float],
-    min_confidence: float = 0.60,
-    min_lift: float = 1.7,
+    min_confidence: float,
+    min_lift: float,
 ) -> RuleSet:
     """Split every frequent itemset into antecedent -> consequent rules.
 
@@ -225,7 +225,7 @@ def assemble_graph(
     corr: np.ndarray,
     rules: RuleSet,
     tickers: Sequence[str],
-    lift_cap: float = 3.0,
+    lift_cap: float,
 ) -> StockGraph:
     """Merge correlation and rule evidence into one weighted undirected graph.
 

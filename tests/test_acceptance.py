@@ -214,7 +214,7 @@ class TestAdjacencySpectrum:
                 for j in range(i + 1, n):
                     if rng.random() < 0.5:
                         corr[i, j] = corr[j, i] = rng.uniform(0.01, 1.0)
-            graph = assemble_graph(corr, rules_of(), tickers)
+            graph = assemble_graph(corr, rules_of(), tickers, lift_cap=3.0)
             a_hat = normalized_adjacency(graph)
             eigenvalues = np.linalg.eigvalsh(a_hat)
             worst_low = max(worst_low, -1.0 - eigenvalues.min())

@@ -277,7 +277,6 @@ class TestDailyReturns:
         r = daily_returns(panel)
         assert r.returns.shape == (1, 1)
         assert r.returns[0, 0] == pytest.approx(0.10, abs=1e-15)
-        assert r.dates == panel.dates[1:]
 
     def test_constant_prices(self):
         r = daily_returns(make_panel([[50.0], [50.0], [50.0]]))

@@ -173,12 +173,13 @@ class TestLstm:
         assert not np.allclose(eval_out.data, train_out.data)
 
 
-def two_layer_case(rng, n_batch, d=1, hidden=4, length=5, dtype=np.float64):
-    """Tracked float64 weights of a 2-layer stack, an input array `x` of
-    `dtype` and a (n_batch, hidden) target."""
-    shapes = {"lstm0.wx": (d, 4 * hidden), "lstm0.wh": (hidden, 4 * hidden),
-              "lstm0.b": (4 * hidden,), "lstm1.wx": (hidden, 4 * hidden),
-              "lstm1.wh": (hidden, 4 * hidden), "lstm1.b": (4 * hidden,)}
+def two_layer_case(rng, n_batch, d=1, hidden=4, length=5, dtype=np.float64, layers=2):
+    """Tracked float64 weights of a `layers`-layer stack, an input array `x`
+    of `dtype` and a (n_batch, hidden) target."""
+    shapes = {}
+    for k in range(layers):
+        shapes |= {f"lstm{k}.wx": (d if k == 0 else hidden, 4 * hidden),
+                   f"lstm{k}.wh": (hidden, 4 * hidden), f"lstm{k}.b": (4 * hidden,)}
     params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
               for name, shape in shapes.items()}
     x = rng.normal(scale=0.5, size=(n_batch, length, d)).astype(dtype)
@@ -186,8 +187,10 @@ def two_layer_case(rng, n_batch, d=1, hidden=4, length=5, dtype=np.float64):
 
 
 def two_layer_triples(params):
+    """The (wx, wh, b) triple of every `lstm{k}` layer in `params`."""
+    layers = sum(name.startswith("lstm") and name.endswith(".wx") for name in params)
     return [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
-            for k in range(2)]
+            for k in range(layers)]
 
 
 class TestLstmColumnBlocks:
@@ -400,16 +403,17 @@ class TestLstmDtype:
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
     def test_float64_is_bitwise_the_float64_only_kernel(self, monkeypatch, rng, rate):
         # 37 sequences in 16-sequence blocks and a width-3 input, so every path
-        # of the kernel runs; the bool masks times the rounded 1 / (1 - rate)
-        # give the float masks' bits at every rate
+        # of the kernel runs, and a middle layer at 3 layers; the bool masks
+        # times the rounded 1 / (1 - rate) give the float masks' bits at every rate
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 96 * 4)
-        params, x, target = two_layer_case(rng, 37, d=3)
-        h_new, g_new = self.run(lstm_stack, x, params, target, rate)
-        h_old, g_old = self.run(float64_only_lstm_stack, x, params, target, rate)
-        assert np.array_equal(h_new, h_old)
-        assert g_new.keys() == g_old.keys()
-        for name in g_old:
-            assert np.array_equal(g_new[name], g_old[name]), name
+        for layers in (2, 3):
+            params, x, target = two_layer_case(rng, 37, d=3, layers=layers)
+            h_new, g_new = self.run(lstm_stack, x, params, target, rate)
+            h_old, g_old = self.run(float64_only_lstm_stack, x, params, target, rate)
+            assert np.array_equal(h_new, h_old), layers
+            assert g_new.keys() == g_old.keys()
+            for name in g_old:
+                assert np.array_equal(g_new[name], g_old[name]), (layers, name)
 
     @pytest.mark.parametrize("kind", ["hybrid", "lstm"])
     def test_train_and_predict_run_the_lstm_in_float32(self, monkeypatch, rng, kind):
@@ -500,17 +504,19 @@ class TestLstmTape:
 
     def test_every_coordinate_matches_finite_differences(self, monkeypatch, rng):
         # dropout between the layers, so the recomputed upper-layer input carries
-        # masks; 37 sequences in 16-sequence blocks, the last one ragged
+        # masks; 37 sequences in 16-sequence blocks, the last one ragged; at 3
+        # layers a middle layer reads a recomputed input and passes a gradient on
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
-        params, x, target = two_layer_case(rng, 37, d=3)
+        for layers in (2, 3):
+            params, x, target = two_layer_case(rng, 37, d=3, layers=layers)
 
-        def loss(p) -> Tensor:
-            h = lstm_stack(x, two_layer_triples(p), 0.5, True,
-                           np.random.Generator(np.random.PCG64(7)))
-            return mse_loss(h, target)
+            def loss(p) -> Tensor:
+                h = lstm_stack(x, two_layer_triples(p), 0.5, True,
+                               np.random.Generator(np.random.PCG64(7)))
+                return mse_loss(h, target)
 
-        for name, err in coordinate_errors(loss, params).items():
-            assert err < 1e-4, (name, err)
+            for name, err in coordinate_errors(loss, params).items():
+                assert err < 1e-4, (layers, name, err)
 
 
 class TestGcn:

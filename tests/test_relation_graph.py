@@ -27,14 +27,14 @@ from stockcast.relation_graph import (
     pearson_matrix,
 )
 
-from conftest import make_panel, weekdays
+from conftest import make_panel
 
 
 def returns_panel(returns: np.ndarray, tickers=None) -> ReturnPanel:
     returns = np.asarray(returns, dtype=np.float64)
     if tickers is None:
         tickers = [f"S{j}" for j in range(returns.shape[1])]
-    return ReturnPanel(tickers=list(tickers), dates=weekdays(returns.shape[0]), returns=returns)
+    return ReturnPanel(tickers=list(tickers), returns=returns)
 
 
 def txdb_of(transactions) -> TransactionDB:
@@ -344,23 +344,24 @@ class TestAssembleGraph:
         assert graph.rules is ruleset  # the rules behind the assoc edges stay with the graph
 
     def test_no_edges_gives_isolated_vertices(self):
-        graph = assemble_graph(corr_weights(["A", "B", "C"], {}), rules_of(), ["A", "B", "C"])
+        graph = assemble_graph(corr_weights(["A", "B", "C"], {}), rules_of(), ["A", "B", "C"],
+                               lift_cap=3.0)
         assert graph.edges == []
         assert graph.tickers == ["A", "B", "C"]
 
     def test_same_ticker_rule_adds_no_edge(self):
         ruleset = rules_of(([("A", UP)], [("A", DOWN)], 2.5))
-        graph = assemble_graph(corr_weights(["A", "B"], {}), ruleset, ["A", "B"])
+        graph = assemble_graph(corr_weights(["A", "B"], {}), ruleset, ["A", "B"], lift_cap=3.0)
         assert graph.edges == []
 
     def test_wrong_shape_names_shape_and_n(self):
         with pytest.raises(ValueError, match=r"shape \(3, 3\).*N = 2"):
-            assemble_graph(np.zeros((3, 3)), rules_of(), ["A", "B"])
+            assemble_graph(np.zeros((3, 3)), rules_of(), ["A", "B"], lift_cap=3.0)
 
     def test_unknown_ticker(self):
         with pytest.raises(UnknownTickerError):
             assemble_graph(np.zeros((2, 2)), rules_of(([("A", UP)], [("Z", UP)], 2.0)),
-                           ["A", "B"])
+                           ["A", "B"], lift_cap=3.0)
 
     def test_lift_weight_capped_at_one(self):
         ruleset = rules_of(([("A", UP)], [("B", UP)], 9.0))
@@ -370,7 +371,8 @@ class TestAssembleGraph:
     def test_weights_in_unit_interval(self, rng):
         ruleset = rules_of(([("A", UP)], [("B", DOWN)], 1.8), ([("B", UP)], [("C", UP)], 2.9))
         tickers = ["A", "B", "C"]
-        graph = assemble_graph(corr_weights(tickers, {("A", "C"): 0.72}), ruleset, tickers)
+        graph = assemble_graph(corr_weights(tickers, {("A", "C"): 0.72}), ruleset, tickers,
+                               lift_cap=3.0)
         for _, _, weight, _ in graph.edges:
             assert 0.0 < weight <= 1.0
 
@@ -400,7 +402,8 @@ class TestAssembleGraph:
     def test_fields_are_symmetric_with_zero_diagonal(self, rng):
         for _ in range(40):
             tickers, corr_pairs, ruleset = random_graph_inputs(rng)
-            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers)
+            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers,
+                                   lift_cap=3.0)
             for field in (graph.weight, graph.source):
                 assert np.array_equal(field, field.T)
                 assert not np.diag(field).any()
@@ -410,13 +413,15 @@ class TestAssembleGraph:
 
 class TestNormalizedAdjacency:
     def test_two_nodes_one_unit_edge(self):
-        graph = assemble_graph(corr_weights(["A", "B"], {("A", "B"): 1.0}), rules_of(), ["A", "B"])
+        graph = assemble_graph(corr_weights(["A", "B"], {("A", "B"): 1.0}), rules_of(), ["A", "B"],
+                               lift_cap=3.0)
         a_hat = normalized_adjacency(graph)
         assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_isolated_node_keeps_unit_self_loop(self):
         tickers = ["A", "B", "C"]
-        graph = assemble_graph(corr_weights(tickers, {("A", "B"): 0.9}), rules_of(), tickers)
+        graph = assemble_graph(corr_weights(tickers, {("A", "B"): 0.9}), rules_of(), tickers,
+                               lift_cap=3.0)
         a_hat = normalized_adjacency(graph)
         assert a_hat[2, 2] == 1.0
         assert np.all(a_hat[2, :2] == 0.0) and np.all(a_hat[:2, 2] == 0.0)
@@ -431,7 +436,7 @@ class TestNormalizedAdjacency:
                     if rng.random() < 0.4:
                         corr_edges[(tickers[i], tickers[j])] = float(rng.uniform(0.05, 1.0))
             corr = corr_weights(tickers, corr_edges)
-            a_hat = normalized_adjacency(assemble_graph(corr, rules_of(), tickers))
+            a_hat = normalized_adjacency(assemble_graph(corr, rules_of(), tickers, lift_cap=3.0))
             assert np.allclose(a_hat, a_hat.T, atol=1e-15)
             assert np.all(a_hat >= 0.0)
             eigenvalues = np.linalg.eigvalsh(a_hat)
@@ -443,7 +448,8 @@ class TestNormalizedAdjacency:
         # row at a time; a same-ticker rule must leave the diagonal at 1
         for _ in range(50):
             tickers, corr_pairs, ruleset = random_graph_inputs(rng)
-            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers)
+            graph = assemble_graph(corr_weights(tickers, corr_pairs), ruleset, tickers,
+                                   lift_cap=3.0)
             index = {t: i for i, t in enumerate(tickers)}
             a = np.eye(len(tickers))
             for u, v, weight, _ in graph.edges:
@@ -466,7 +472,7 @@ class TestPipeline:
         tickers = ["A", "B", "C"]
         corr = corr_weights(tickers, {("B", "A"): 0.9, ("C", "A"): 0.8})
         ruleset = rules_of(([("A", UP)], [("B", UP)], 2.4))
-        graph = assemble_graph(corr, ruleset, tickers)
+        graph = assemble_graph(corr, ruleset, tickers, lift_cap=3.0)
         records = graph.edges
         assert [(a, b) for a, b, _, _ in records] == [("A", "B"), ("A", "C")]
         assert records[0][3] == "both"
