@@ -92,10 +92,13 @@ class GridCell:
     learning_rate: float
     lookback: int
     epochs: int
-    mean_mse: float | None
-    failed: bool
+    mean_mse: float | None  # None when the cell failed
     reason: str  # why the cell failed; empty when it did not
     rank: int = 0
+
+    @property
+    def failed(self) -> bool:
+        return self.mean_mse is None
 
 
 @dataclass(eq=False)
@@ -176,12 +179,13 @@ def _set_blas_threads(n: int) -> int | None:
 
 
 def _fork_pool(workers: int):
-    """A pool of `workers` forked processes with one BLAS thread each, or None
-    when fewer than 2 workers are asked for or the platform cannot fork.
+    """A pool of `workers` forked processes, or None when fewer than 2
+    workers are asked for or the platform cannot fork.
 
     Forked, not spawned: a worker starts without importing the package again
-    and sees the parent's module state. The parent's only other threads are
-    OpenBLAS's, which OpenBLAS itself shuts down around a fork."""
+    and sees the parent's module state, its BLAS thread count included. The
+    parent's only other threads are OpenBLAS's, which OpenBLAS itself shuts
+    down around a fork."""
     if workers < 2:
         return None
     import multiprocessing  # imported here: it would add ~30% to the CLI's start-up
@@ -190,8 +194,7 @@ def _fork_pool(workers: int):
         return None
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_set_blas_threads, initargs=(1,))
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def run_step(
@@ -311,7 +314,7 @@ def grid_search(
         try:
             specs.append(replace(template, train=cfg))
         except ValueError as exc:  # e.g. a cnn1d lookback shorter than its kernel
-            cells.append(GridCell(lr, lookback, epochs, None, True, str(exc)))
+            cells.append(GridCell(lr, lookback, epochs, None, str(exc)))
 
     reports = compare_models(specs, panel, graph_config, plan, base_seed) if specs else []
     for spec, report in reports:
@@ -320,7 +323,7 @@ def grid_search(
         reason = next((f.reason for f in fatal or report.failed), "") if cell_failed else ""
         cfg = spec.train
         cells.append(GridCell(cfg.learning_rate, cfg.lookback, cfg.epochs,
-                              None if cell_failed else report.summary_mse, cell_failed, reason))
+                              None if cell_failed else report.summary_mse, reason))
 
     cells.sort(key=lambda c: (c.failed, math.inf if c.mean_mse is None else c.mean_mse,
                               c.learning_rate, c.lookback, c.epochs))

@@ -213,19 +213,18 @@ def _lstm_layer_forward(
 
 
 def _lstm_layer_backward(
-    gates: np.ndarray, cs: np.ndarray, x_seq: np.ndarray,
-    dh_seq: np.ndarray | None, dh_last: np.ndarray, wx: np.ndarray, wh: np.ndarray,
-    dw: tuple[np.ndarray, np.ndarray, np.ndarray], dx_seq: np.ndarray | None,
+    gates: np.ndarray, cs: np.ndarray, x_seq: np.ndarray, dh_seq: np.ndarray,
+    wx: np.ndarray | None, wh: np.ndarray, dw: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
     """Backward of one layer over one column block from its taped gates and
     cells and its (L, d, n) input `x_seq`: layer 0's taped input, or an upper
     layer's input that `lstm_stack` rebuilds for all L steps at once with the
     forward's elementwise operations, which give the same bits at any array
-    shape. `dh_seq` (L, H, n) is
-    the gradient of every hidden state from the layer above (overwritten), or
-    None for the top layer, whose one incoming gradient is `dh_last` at the
-    last step. Adds the weight gradients to the float64 `dw` and writes the
-    input's gradient to `dx_seq` when given."""
+    shape. `dh_seq` (L, H, n) holds the gradient of every hidden state from
+    above; each step adds the recurrent gradient into the step before it and
+    then, unless `wx` is None (layer 0, whose input is data), overwrites its
+    own step with the input's gradient. Adds the weight gradients to the
+    float64 `dw`."""
     length, H, n = cs.shape
     dtype = cs.dtype
     dwxT, dwhT, db = dw
@@ -233,7 +232,6 @@ def _lstm_layer_backward(
     dz_i, dz_f, dz_o, dz_g = dz[:H], dz[H : 2 * H], dz[2 * H : 3 * H], dz[3 * H :]
     dc = _work("dc", (H, n), dtype)
     dc[...] = 0.0
-    dh_carry = _work("dh_carry", (H, n), dtype)
     h_prev = _work("h_prev", (H, n), dtype)
     tmp = _work("tmp", (H, n), dtype)
     # tanh(c_t), computed once per step and carried to step t - 1
@@ -242,13 +240,7 @@ def _lstm_layer_backward(
     for t in range(length - 1, -1, -1):
         z = gates[t]
         i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
-        if dh_seq is None:
-            # the stack only exposes the last hidden state
-            dh = dh_last if t == length - 1 else dh_carry
-        else:
-            dh = dh_seq[t]
-            if t < length - 1:
-                dh += dh_carry
+        dh = dh_seq[t]
         np.multiply(dh, tc, out=dz_o)  # d(loss)/d(o), scaled below
         np.multiply(tc, tc, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -278,11 +270,12 @@ def _lstm_layer_backward(
             np.tanh(cs[t - 1], out=tc_prev)
             np.multiply(gates[t - 1, 2 * H : 3 * H], tc_prev, out=h_prev)
             dwhT += dz @ h_prev.T
-            np.matmul(wh, dz, out=dh_carry)  # dh is no longer read
+            np.matmul(wh, dz, out=tmp)
+            dh_seq[t - 1] += tmp
         dwxT += dz @ x_seq[t].T
         db += dz.sum(axis=1)
-        if dx_seq is not None:
-            np.matmul(wx, dz, out=dx_seq[t])
+        if wx is not None:
+            np.matmul(wx, dz, out=dh)  # dh is no longer read
         dc *= f
         tc, tc_prev = tc_prev, tc
 
@@ -318,6 +311,10 @@ def lstm_stack(
     it stays in the L2 cache. The dropout masks are drawn for the whole
     batch, in layer order, before the first block, and the backward sums the
     weight gradients of all blocks.
+
+    Each block's backward threads one (L, H, n) gradient array down the
+    stack, seeded with the loss gradient at the top layer's last step; every
+    layer overwrites it with its input's gradient but layer 0 (`wx=None`).
 
     The tape keeps, per block, each layer's post-activation gates and cell
     states (5H rows per step and layer) and layer 0's input; caching tanh(c),
@@ -359,9 +356,9 @@ def lstm_stack(
         weights.append(copies)
     # bool keep-masks and one rounded scale: h * mask * keep is bitwise
     # h * (mask / (1 - rate)) in float64
-    masks: list[np.ndarray | None] = [None] * (n_layers - 1)
+    masks: list[np.ndarray | None] = [None] * n_layers  # none after the top layer
     if training and dropout_rate > 0.0:
-        masks = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks]
+        masks[:-1] = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks[:-1]]
     keep = dtype.type(1.0 / (1.0 - dropout_rate))
     width = _lstm_block_width(dtype, H)
     blocks = []  # (columns, layer-0 input, per-layer (gates, cells)) of each column block
@@ -374,7 +371,7 @@ def lstm_stack(
         inp, tape = inp0, []
         for layer, (wxT, whT, bias) in enumerate(weights):
             tape.append(_lstm_layer_forward(inp, wxT, whT, bias, hs))
-            if layer < n_layers - 1 and masks[layer] is not None:
+            if masks[layer] is not None:
                 hs *= masks[layer][:, :, cols]
                 hs *= keep
             inp = hs
@@ -383,13 +380,16 @@ def lstm_stack(
 
     def bw(grad: np.ndarray) -> None:
         grad = grad.astype(dtype, copy=False)
-        wxs = [wx.data.astype(dtype, copy=False) for wx, _, _ in layer_params]
+        # layer 0's input is data: it gets no gradient
+        wxs = [None] + [wx.data.astype(dtype, copy=False) for wx, _, _ in layer_params[1:]]
         whs = [wh.data.astype(dtype, copy=False) for _, wh, _ in layer_params]
         dw = [(np.zeros(wxT.shape), np.zeros((4 * H, H)), np.zeros(4 * H))
               for wxT, _, _ in weights]  # float64 (dwxT, dwhT, db) summed over blocks
         for cols, inp0, tape in blocks:
-            n = inp0.shape[2]
-            dh_seq: np.ndarray | None = None  # d(loss)/d(h) from the layer above
+            # d(loss)/d(h) from above, overwritten by each layer's input gradient
+            dh_seq = _work("dh", (length, H, inp0.shape[2]), dtype)
+            dh_seq[: length - 1] = 0.0
+            dh_seq[length - 1] = grad[cols].T
             for layer in range(n_layers - 1, -1, -1):
                 gates, cs = tape[layer]
                 x_seq = inp0
@@ -402,15 +402,10 @@ def lstm_stack(
                     if masks[layer - 1] is not None:
                         x_seq *= masks[layer - 1][:, :, cols]
                         x_seq *= keep
-                if dh_seq is not None and masks[layer] is not None:
+                if masks[layer] is not None:
                     dh_seq *= masks[layer][:, :, cols]
                     dh_seq *= keep
-                dx_seq = None
-                if layer > 0:
-                    dx_seq = _work(f"dx{layer % 2}", (length, H, n), dtype)
-                _lstm_layer_backward(gates, cs, x_seq, dh_seq, grad[cols].T,
-                                     wxs[layer], whs[layer], dw[layer], dx_seq)
-                dh_seq = dx_seq
+                _lstm_layer_backward(gates, cs, x_seq, dh_seq, wxs[layer], whs[layer], dw[layer])
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())
@@ -695,7 +690,6 @@ def train(
 
     batch = cfg.batch_size or n_train
     history: list[tuple[float, float]] = []
-    best = _snapshot(params)
     stop = False
 
     for epoch in range(1, cfg.epochs + 1):

@@ -307,6 +307,38 @@ class TestParallelWalk:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+class TestBlasPin:
+    def test_every_step_runs_on_one_blas_thread(self, monkeypatch, tmp_path):
+        found = backtest._openblas()
+        if found is None:
+            pytest.skip("numpy ships no OpenBLAS with a thread-count getter and setter")
+        get, _ = found
+        log = tmp_path / "blas_threads.txt"
+        real_train = backtest.train
+
+        def spy(*args, **kwargs):
+            # a file, so forked workers report too
+            with open(log, "a") as f:
+                f.write(f"{get()}\n")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(backtest, "train", spy)
+        panel = lead_lag_panel(44, seed=15)
+        plan = expanding_schedule(panel.dates, 30, 3)
+        spec = ModelSpec("dense", dense_hidden=(3,),
+                         train=TrainConfig(lookback=4, epochs=2, dropout=0.0))
+        before = backtest._set_blas_threads(2)
+        try:
+            for n_cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
+                log.write_text("")
+                run_backtest(spec, panel, GraphConfig(), plan)
+                assert log.read_text().split() == ["1", "1", "1"]
+                assert get() == 2
+        finally:
+            backtest._set_blas_threads(before)
+
+
 class TestGridSearch:
     def make_inputs(self):
         panel = random_walk_panel(3, 46, seed=11)

@@ -403,10 +403,11 @@ class TestLstmDtype:
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3, 0.5])
     def test_float64_is_bitwise_the_float64_only_kernel(self, monkeypatch, rng, rate):
         # 37 sequences in 16-sequence blocks and a width-3 input, so every path
-        # of the kernel runs, and a middle layer at 3 layers; the bool masks
-        # times the rounded 1 / (1 - rate) give the float masks' bits at every rate
+        # of the kernel runs: one layer that both starts from the loss gradient
+        # and writes no input gradient, and a middle layer at 3 layers; the bool
+        # masks times the rounded 1 / (1 - rate) give the float masks' bits at every rate
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 96 * 4)
-        for layers in (2, 3):
+        for layers in (1, 2, 3):
             params, x, target = two_layer_case(rng, 37, d=3, layers=layers)
             h_new, g_new = self.run(lstm_stack, x, params, target, rate)
             h_old, g_old = self.run(float64_only_lstm_stack, x, params, target, rate)
@@ -504,10 +505,11 @@ class TestLstmTape:
 
     def test_every_coordinate_matches_finite_differences(self, monkeypatch, rng):
         # dropout between the layers, so the recomputed upper-layer input carries
-        # masks; 37 sequences in 16-sequence blocks, the last one ragged; at 3
-        # layers a middle layer reads a recomputed input and passes a gradient on
+        # masks; 37 sequences in 16-sequence blocks, the last one ragged; one
+        # layer is both top and bottom, and at 3 layers a middle layer reads a
+        # recomputed input and passes a gradient on
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", 16 * 12 * 8 * 4)
-        for layers in (2, 3):
+        for layers in (1, 2, 3):
             params, x, target = two_layer_case(rng, 37, d=3, layers=layers)
 
             def loss(p) -> Tensor:
