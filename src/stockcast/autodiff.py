@@ -13,7 +13,8 @@ the recorded graph in reverse topological order and accumulates gradients
 into every tracked leaf. The tape is dynamic: it exists only as the parent
 links of the tensors produced during one forward pass.
 
-The ops are the ones the models use: matmul, add, relu, concat, reshape,
+The ops are the ones the models use: linear (an affine layer, optionally
+under a graph's adjacency and a ReLU, as one op), matmul, concat, reshape,
 dropout and the MSE loss against an array target. The LSTM is one fused op
 of its own in `models`. Finite difference checks of these gradients live
 with the tests.
@@ -90,17 +91,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy broadcasting expanded it."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def topo_order(root: Tensor) -> list[Tensor]:
     """Tensors reachable from `root` through tracked parents, parents first."""
     order: list[Tensor] = []
@@ -138,8 +128,11 @@ def backward(
             p.grad = None
 
     order = topo_order(loss)
+    reachable = {id(t) for t in order}
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        # popped, so an interior tensor dies once its op has run
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
             # free interior grads and the op's closure (its forward caches) at once
@@ -149,7 +142,6 @@ def backward(
 
     if params is None:
         return None
-    reachable = {id(t) for t in order}
     if params and not any(id(p) in reachable for p in params.values()):
         raise DetachedGraphError("loss does not depend on any given parameter")
     out: dict[str, np.ndarray] = {}
@@ -164,47 +156,59 @@ def backward(
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b. A tracked operand may not broadcast over the product's batch
+    axes: its gradient would need a sum over them, which `linear` does."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}")
     data = a.data @ b.data
+    if any(p.requires_grad and p.shape[:-2] != data.shape[:-2] for p in (a, b)):
+        raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}: a tracked operand "
+                                 "broadcasts over the batch")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.add_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            a.add_grad(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b.add_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            b.add_grad(np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor._from_op(data, (a, b), bw)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError(f"add {a.shape} + {b.shape}") from None
+def linear(
+    x: Tensor, w: Tensor, b: Tensor, relu: bool = False, adj: np.ndarray | None = None
+) -> Tensor:
+    """x @ w + b over the last axis of `x`, with any leading axes, as one op:
+    relu(adj @ (x @ w) + b) with `relu` set and a fixed (M', M) matrix `adj`
+    mixing the rows of each (M, K) slice, as a graph convolution does.
+
+    The tape keeps the input and the output, which the backward reads for the
+    ReLU's mask; no pre-activation is kept. The weight gradient is one GEMM
+    over the flattened leading axes, so no per-sample (K, N) products exist.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatchError(f"linear {x.shape} @ {w.shape} + {b.shape}")
+    if adj is not None and (adj.ndim != 2 or x.ndim < 2 or adj.shape[1] != x.shape[-2]):
+        raise ShapeMismatchError(f"linear adjacency {adj.shape} on input {x.shape}")
+    data = x.data @ w.data
+    if adj is not None:
+        data = adj @ data
+    data += b.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
 
     def bw(g: np.ndarray) -> None:
-        donated_g = False
-        if a.requires_grad:
-            ga = _unbroadcast(g, a.shape)
-            donated_g = ga is g
-            a.add_grad(ga)
+        if relu:
+            g = g * (data > 0.0)  # subgradient 0 at exactly 0
         if b.requires_grad:
-            gb = _unbroadcast(g, b.shape)
-            if gb is g and donated_g:
-                gb = g.copy()  # both parents same shape: keep their grads distinct
-            b.add_grad(gb)
+            b.add_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
+        if adj is not None:
+            g = adj.T @ g
+        if w.requires_grad:
+            w.add_grad(x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        if x.requires_grad:
+            x.add_grad(g @ w.data.T)
 
-    return Tensor._from_op(data, (a, b), bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0.0)
-
-    def bw(g: np.ndarray) -> None:
-        x.add_grad(g * (x.data > 0.0))  # subgradient 0 at exactly 0
-
-    return Tensor._from_op(data, (x,), bw)
+    return Tensor._from_op(data, (x, w, b), bw)
 
 
 def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:

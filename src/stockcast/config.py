@@ -166,6 +166,24 @@ def _to_int(value: Any) -> int:
     return int(value)
 
 
+def _to_float(value: Any) -> float:
+    """float(value), refusing a bool, which float() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def _to_str(value: Any) -> str:
+    """str(value), refusing None, which str() would spell "None"."""
+    if value is None:
+        raise ValueError("expected a string")
+    return str(value)
+
+
+# the coercion of each scalar field type; a list's items take its first item's
+_COERCE = {int: _to_int, float: _to_float, str: _to_str}
+
+
 def _coerce(name: str, value: Any) -> Any:
     """Coerce a raw (file or flag) value to the field's declared type.
 
@@ -177,7 +195,7 @@ def _coerce(name: str, value: Any) -> Any:
         if isinstance(default, list):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
-            item = _to_int if isinstance(default[0], int) else type(default[0])
+            item = _COERCE[type(default[0])]
             return [item(v) for v in value]
         if isinstance(default, bool):
             if isinstance(value, bool):
@@ -188,11 +206,7 @@ def _coerce(name: str, value: Any) -> Any:
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError("expected a boolean")
-        if isinstance(default, int):
-            return _to_int(value)
-        if isinstance(default, float):
-            return float(value)
-        return str(value)
+        return _COERCE[type(default)](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: cannot parse {value!r} ({exc})") from None
 

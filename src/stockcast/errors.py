@@ -50,41 +50,33 @@ class SliceTooShortError(MarketDataError):
 
 # -- relation graph ------------------------------------------------------
 
-class GraphError(StockcastError):
-    """Base class for graph-construction errors."""
-
-
-class ZeroVarianceError(GraphError):
+class ZeroVarianceError(StockcastError):
     """A ticker has constant returns over the correlation range."""
 
 
-class EmptyDatabaseError(GraphError):
+class EmptyDatabaseError(StockcastError):
     """Frequent-itemset mining was asked to run on zero transactions."""
 
 
-class UnknownTickerError(GraphError):
+class UnknownTickerError(StockcastError):
     """A rule references a ticker outside the vertex set."""
 
 
 # -- autodiff ------------------------------------------------------------
 
-class AutodiffError(StockcastError):
-    """Base class for tensor-graph errors."""
-
-
-class ShapeMismatchError(AutodiffError):
+class ShapeMismatchError(StockcastError):
     """Operand shapes are incompatible for the requested op."""
 
 
-class NotScalarLossError(AutodiffError):
+class NotScalarLossError(StockcastError):
     """backward() was called on a non-scalar tensor."""
 
 
-class DetachedGraphError(AutodiffError):
+class DetachedGraphError(StockcastError):
     """The loss does not depend on any of the given parameters."""
 
 
-class InvalidRateError(AutodiffError):
+class InvalidRateError(StockcastError):
     """Dropout rate outside [0, 1)."""
 
 
@@ -108,11 +100,7 @@ class SingularSystemError(ModelError):
 
 # -- backtest ------------------------------------------------------------
 
-class BacktestError(StockcastError):
-    """Base class for backtest errors."""
-
-
-class InsufficientHistoryError(BacktestError):
+class InsufficientHistoryError(StockcastError):
     """Panel is shorter than base training window + test days."""
 
 

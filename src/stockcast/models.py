@@ -18,13 +18,12 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     backward,
     concat,
     dropout,
+    linear,
     matmul,
     mse_loss,
-    relu,
     reshape,
 )
 from .errors import (
@@ -165,10 +164,10 @@ def _work(name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
 
 def _lstm_layer_forward(
     inp: np.ndarray, wxT: np.ndarray, whT: np.ndarray, bias: np.ndarray, hs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One layer over one column block: (L, d, n) input in, hidden states
     written to `hs` (L, H, n), which may be `inp` itself. Returns the
-    post-activation gates (L, 4H, n) and the cell states (L, H, n).
+    post-activation gates (L, 4H, n); the cell states go to a work array.
 
     The sigmoid rows of `wxT`, `whT` and `bias` are pre-halved, so those rows
     of the pre-activation come out as z / 2 for 0.5 * (tanh(z / 2) + 1)."""
@@ -176,28 +175,27 @@ def _lstm_layer_forward(
     H = whT.shape[1]
     dtype = inp.dtype
     gates = np.empty((length, 4 * H, n), dtype)
-    cs = np.empty((length, H, n), dtype)
-    # the input projection of all L steps, read before `hs` is written
-    if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
-        np.multiply(wxT, inp, out=gates)
-    else:
-        np.matmul(wxT, inp, out=gates)
+    cs = _work("cs0", (length, H, n), dtype)  # the backward rebuilds its own
     b = _work("bias", (4 * H, n), dtype)
     b[...] = bias[:, None]  # a contiguous add runs about twice as fast as a broadcast one
     rec = _work("rec", (4 * H, n), dtype)
     tmp = _work("tmp", (H, n), dtype)
     for t in range(length):
         z = gates[t]
+        # each step's input projection just before the step, while it is in
+        # cache; inp[t] is read before hs[t] is written
+        if wxT.shape[1] == 1:  # a width-1 input: the product is a broadcast
+            np.multiply(wxT, inp[t], out=z)
+        else:
+            np.matmul(wxT, inp[t], out=z)
         if t > 0:
             np.matmul(whT, hs[t - 1], out=rec)
             z += rec
         z += b
-        zs = z[: 3 * H]  # sigmoid gates
-        np.tanh(zs, out=zs)
+        np.tanh(z, out=z)  # the candidate, and tanh(z / 2) of the sigmoid gates
+        zs = z[: 3 * H]
         zs += 1.0
         zs *= 0.5
-        zg = z[3 * H :]  # candidate
-        np.tanh(zg, out=zg)
 
         i, f, o, g = z[:H], z[H : 2 * H], z[2 * H : 3 * H], z[3 * H :]
         c = cs[t]
@@ -209,22 +207,39 @@ def _lstm_layer_forward(
             np.multiply(i, g, out=c)
         np.tanh(c, out=tmp)
         np.multiply(o, tmp, out=hs[t])
-    return gates, cs
+    return gates
+
+
+def _lstm_cells(gates: np.ndarray, name: str) -> np.ndarray:
+    """The (L, H, n) cell states of one layer over one column block, rebuilt
+    from its taped gates into the work array `name` with the forward's own
+    operations, so they are bitwise the forward's cells."""
+    length, H4, n = gates.shape
+    H = H4 // 4
+    cs = _work(name, (length, H, n), gates.dtype)
+    tmp = _work("tmp", (H, n), gates.dtype)
+    np.multiply(gates[0, :H], gates[0, 3 * H :], out=cs[0])
+    for t in range(1, length):
+        z, c = gates[t], cs[t]
+        np.multiply(z[H : 2 * H], cs[t - 1], out=c)
+        np.multiply(z[:H], z[3 * H :], out=tmp)
+        c += tmp
+    return cs
 
 
 def _lstm_layer_backward(
     gates: np.ndarray, cs: np.ndarray, x_seq: np.ndarray, dh_seq: np.ndarray,
     wx: np.ndarray | None, wh: np.ndarray, dw: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
-    """Backward of one layer over one column block from its taped gates and
-    cells and its (L, d, n) input `x_seq`: layer 0's taped input, or an upper
-    layer's input that `lstm_stack` rebuilds for all L steps at once with the
-    forward's elementwise operations, which give the same bits at any array
-    shape. `dh_seq` (L, H, n) holds the gradient of every hidden state from
-    above; each step adds the recurrent gradient into the step before it and
-    then, unless `wx` is None (layer 0, whose input is data), overwrites its
-    own step with the input's gradient. Adds the weight gradients to the
-    float64 `dw`."""
+    """Backward of one layer over one column block from its taped gates, its
+    recomputed cells `cs` and its (L, d, n) input `x_seq`: layer 0's taped
+    input, or an upper layer's input that `lstm_stack` rebuilds for all L
+    steps at once with the forward's elementwise operations, which give the
+    same bits at any array shape. `dh_seq` (L, H, n) holds the gradient of
+    every hidden state from above; each step adds the recurrent gradient into
+    the step before it and then, unless `wx` is None (layer 0, whose input is
+    data), overwrites its own step with the input's gradient. Adds the weight
+    gradients to the float64 `dw`."""
     length, H, n = cs.shape
     dtype = cs.dtype
     dwxT, dwhT, db = dw
@@ -316,16 +331,18 @@ def lstm_stack(
     stack, seeded with the loss gradient at the top layer's last step; every
     layer overwrites it with its input's gradient but layer 0 (`wx=None`).
 
-    The tape keeps, per block, each layer's post-activation gates and cell
-    states (5H rows per step and layer) and layer 0's input; caching tanh(c),
-    h and each upper layer's input as well would take 7H to 8H. The backward
+    The tape keeps, per block, each layer's post-activation gates (4H rows
+    per step and layer) and layer 0's input; caching the cells, tanh(c), h
+    and each upper layer's input as well would take 7H to 8H. The backward
     recomputes those with the forward's own operations on the same operands:
-    tanh of the cells, h_{t-1} = o_{t-1} * tanh(c_{t-1}), and an upper
-    layer's input o * tanh(c) * mask * keep of the layer below, rebuilt for
-    all steps of a block at once into the forward's `hs` work array.
-    Elementwise IEEE operations on the same values give the same bits at any
-    array shape, one step or all L at once, so the recomputed arrays, and
-    every result, are bitwise what caching them gives.
+    each layer's cells c_t = f_t * c_{t-1} + i_t * g_t once per block, tanh
+    of the cells, h_{t-1} = o_{t-1} * tanh(c_{t-1}), and an upper layer's
+    input o * tanh(c) * mask * keep of the layer below, rebuilt for all steps
+    of a block at once into the forward's `hs` work array. Elementwise IEEE
+    operations on the same values give the same bits at any array shape, one
+    step or all L at once, so the recomputed arrays, and every result, are
+    bitwise what caching them gives. The forward projects each step's input
+    just before that step reads it and takes one tanh over all 4H gate rows.
     The sigmoid rows take their 0.5 from pre-halved weight and bias copies:
     halving is exact short of the subnormal range, so z / 2 comes out bitwise
     as well. Work arrays come from `_work` and are reused across calls.
@@ -361,7 +378,7 @@ def lstm_stack(
         masks[:-1] = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks[:-1]]
     keep = dtype.type(1.0 / (1.0 - dropout_rate))
     width = _lstm_block_width(dtype, H)
-    blocks = []  # (columns, layer-0 input, per-layer (gates, cells)) of each column block
+    blocks = []  # (columns, layer-0 input, per-layer gates) of each column block
     h_last = np.empty((n_batch, H), dtype=dtype)
     for lo in range(0, n_batch, width):
         cols = slice(lo, lo + width)
@@ -390,22 +407,28 @@ def lstm_stack(
             dh_seq = _work("dh", (length, H, inp0.shape[2]), dtype)
             dh_seq[: length - 1] = 0.0
             dh_seq[length - 1] = grad[cols].T
+            # a layer's cells, rebuilt once: for its own backward and, below
+            # the top, for the input of the layer above; the two layers in
+            # use sit in work arrays named by layer parity
+            cs = _lstm_cells(tape[n_layers - 1], f"cs{(n_layers - 1) % 2}")
             for layer in range(n_layers - 1, -1, -1):
-                gates, cs = tape[layer]
                 x_seq = inp0
                 if layer > 0:
+                    cs_below = _lstm_cells(tape[layer - 1], f"cs{(layer - 1) % 2}")
                     # rebuilt into `hs`, which only the forward otherwise writes
-                    gates_below, cs_below = tape[layer - 1]
                     x_seq = _work("hs", cs_below.shape, dtype)
                     np.tanh(cs_below, out=x_seq)
-                    x_seq *= gates_below[:, 2 * H : 3 * H]
+                    x_seq *= tape[layer - 1][:, 2 * H : 3 * H]
                     if masks[layer - 1] is not None:
                         x_seq *= masks[layer - 1][:, :, cols]
                         x_seq *= keep
                 if masks[layer] is not None:
                     dh_seq *= masks[layer][:, :, cols]
                     dh_seq *= keep
-                _lstm_layer_backward(gates, cs, x_seq, dh_seq, wxs[layer], whs[layer], dw[layer])
+                _lstm_layer_backward(tape[layer], cs, x_seq, dh_seq, wxs[layer], whs[layer],
+                                     dw[layer])
+                if layer > 0:
+                    cs = cs_below
         for (wx, wh, b), (dwxT, dwhT, db) in zip(layer_params, dw):
             if wx.requires_grad:
                 wx.add_grad(dwxT.T.copy())
@@ -502,10 +525,9 @@ def gcn_forward(
     adj = np.asarray(a_hat, dtype=np.float64)
     if x.shape[-2] != adj.shape[0]:
         raise ShapeMismatchError(f"{x.shape[-2]} feature rows vs {adj.shape[0]} graph nodes")
-    a = Tensor(adj)
-    h = relu(add(matmul(a, matmul(x, params["gcn1.w"])), params["gcn1.b"]))
+    h = linear(x, params["gcn1.w"], params["gcn1.b"], relu=True, adj=adj)
     h = dropout(h, dropout_rate, training, rng)
-    return relu(add(matmul(a, matmul(h, params["gcn2.w"])), params["gcn2.b"]))
+    return linear(h, params["gcn2.w"], params["gcn2.b"], relu=True, adj=adj)
 
 
 def _fusion_head(
@@ -513,8 +535,8 @@ def _fusion_head(
 ) -> Tensor:
     h = x
     for k in range(n_hidden):
-        h = relu(add(matmul(h, params[f"fusion{k}.w"]), params[f"fusion{k}.b"]))
-    return add(matmul(h, params["head.w"]), params["head.b"])
+        h = linear(h, params[f"fusion{k}.w"], params[f"fusion{k}.b"], relu=True)
+    return linear(h, params["head.w"], params["head.b"])
 
 
 def _recurrent_batch(
@@ -539,8 +561,8 @@ def _dense_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     n_batch, length, n_stocks = windows.shape
     h = Tensor(windows.reshape(n_batch, length * n_stocks))
     for k in range(len(spec.dense_hidden)):
-        h = relu(add(matmul(h, params[f"dense{k}.w"]), params[f"dense{k}.b"]))
-    return add(matmul(h, params["out.w"]), params["out.b"])
+        h = linear(h, params[f"dense{k}.w"], params[f"dense{k}.b"], relu=True)
+    return linear(h, params["out.w"], params["out.b"])
 
 
 def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
@@ -553,12 +575,12 @@ def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     patches = np.lib.stride_tricks.sliding_window_view(
         windows.swapaxes(1, 2), spec.cnn_kernel, axis=-1)
     n_rows, n_positions = n_batch * n_stocks, patches.shape[2]
-    # every position in one 2-D matmul, whose weight gradient is one product
+    # every position in one op, whose weight gradient is one product
     rows = Tensor(patches.reshape(n_rows * n_positions, spec.cnn_kernel))
-    conv = matmul(rows, params["conv.w"])
-    act = reshape(relu(add(conv, params["conv.b"])), (n_rows, n_positions, spec.cnn_channels))
+    conv = linear(rows, params["conv.w"], params["conv.b"], relu=True)
+    act = reshape(conv, (n_rows, n_positions, spec.cnn_channels))
     pooled = matmul(Tensor(np.full((1, n_positions), 1.0 / n_positions)), act)  # (B*N, 1, C)
-    out = add(matmul(pooled, params["head.w"]), params["head.b"])  # (B*N, 1, 1)
+    out = linear(pooled, params["head.w"], params["head.b"])  # (B*N, 1, 1)
     return reshape(out, (n_batch, n_stocks))
 
 

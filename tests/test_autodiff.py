@@ -1,15 +1,17 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from stockcast.autodiff import (
     Tensor,
-    add,
     backward,
     concat,
     dropout,
+    linear,
     matmul,
     mse_loss,
-    relu,
     reshape,
     topo_order,
 )
@@ -20,7 +22,7 @@ from stockcast.errors import (
     ShapeMismatchError,
 )
 
-from conftest import gradient_check
+from conftest import coordinate_errors, gradient_check
 
 
 def t(data, grad=False):
@@ -29,8 +31,9 @@ def t(data, grad=False):
 
 class TestForwardOps:
     def test_activation_values(self):
-        assert relu(t([-1.0])).data[0] == 0.0
-        assert relu(t([2.0])).data[0] == 2.0
+        one, zero = t([[1.0]]), t([0.0])
+        assert linear(t([-1.0]), one, zero, relu=True).data[0] == 0.0
+        assert linear(t([2.0]), one, zero, relu=True).data[0] == 2.0
 
     def test_matmul_shape_algebra(self):
         out = matmul(t(np.ones((2, 3))), t(np.ones((3, 4))))
@@ -39,6 +42,17 @@ class TestForwardOps:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
+
+    def test_matmul_refuses_a_tracked_operand_broadcast_over_the_batch(self):
+        # its gradient would need a sum over the batch: that is linear's job
+        batch, weight = np.ones((4, 2, 3)), np.ones((3, 5))
+        with pytest.raises(ShapeMismatchError, match="broadcasts"):
+            matmul(t(batch), t(weight, grad=True))
+        with pytest.raises(ShapeMismatchError, match="broadcasts"):
+            matmul(t(weight.T, grad=True), t(np.ones((4, 3, 2))))
+        # an untracked constant may broadcast, as cnn1d's pooling row does
+        out = matmul(t(np.ones((1, 2))), t(batch, grad=True))
+        assert out.shape == (4, 1, 3)
 
     def test_concat_feature_widths(self):
         out = concat(t(np.zeros((5, 32))), t(np.zeros((5, 16))), axis=-1)
@@ -59,8 +73,8 @@ class TestForwardOps:
         with pytest.raises(ShapeMismatchError, match="axis"):
             concat(t(np.zeros((2, 3))), t(np.zeros(b_shape)), axis=axis)
 
-    def test_add_broadcasts_bias(self):
-        out = add(t(np.zeros((4, 3))), t(np.array([1.0, 2.0, 3.0])))
+    def test_linear_broadcasts_bias(self):
+        out = linear(t(np.zeros((4, 2))), t(np.ones((2, 3))), t(np.array([1.0, 2.0, 3.0])))
         assert np.array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
     def test_tensor_rejects_nonfinite(self):
@@ -98,9 +112,10 @@ class TestMseLoss:
 
 class TestBackward:
     def test_relu_subgradient(self):
-        x = t([-1.0, 0.0, 2.0], grad=True)
-        y = relu(x)
-        loss = mse_loss(y, np.zeros(3))
+        # pre-activations -1, exactly 0 and 2
+        x = t([[-1.0], [0.0], [2.0]], grad=True)
+        y = linear(x, t([[1.0]]), t([0.0]), relu=True)
+        loss = mse_loss(y, np.zeros((3, 1)))
         backward(loss)
         assert x.grad[0] == 0.0
         assert x.grad[1] == 0.0  # subgradient 0 chosen at exactly 0
@@ -110,29 +125,30 @@ class TestBackward:
         params = {
             "a": Tensor(rng.normal(size=(3, 3)), requires_grad=True),
             "b": Tensor(rng.normal(size=(3, 3)), requires_grad=True),
+            "c": Tensor(rng.normal(size=3), requires_grad=True),
         }
         target = rng.normal(size=(3, 3))
 
         def build(p):
-            return mse_loss(matmul(p["a"], relu(matmul(p["a"], p["b"]))), target)
+            return mse_loss(matmul(p["a"], linear(p["a"], p["b"], p["c"], relu=True)), target)
 
         assert gradient_check(build, params, max_coords=9) < 1e-4
 
     def test_not_scalar_loss(self):
         x = t(np.ones((2, 2)), grad=True)
         with pytest.raises(NotScalarLossError):
-            backward(relu(x))
+            backward(matmul(x, t(np.ones((2, 1)))))
 
     def test_detached_graph(self):
         x = t([1.0], grad=True)
         y = t([2.0], grad=True)
-        loss = mse_loss(relu(x), np.zeros(1))
+        loss = mse_loss(reshape(x, (1,)), np.zeros(1))
         with pytest.raises(DetachedGraphError):
             backward(loss, {"y": y})
 
     def test_backward_frees_the_tape(self):
         x = t([[1.0], [-2.0]], grad=True)
-        hidden = relu(matmul(x, t([[3.0]])))
+        hidden = linear(x, t([[3.0]]), t([0.0]), relu=True)
         loss = mse_loss(hidden, np.zeros((2, 1)))
         grads = backward(loss, {"x": x})
         assert np.array_equal(grads["x"], [[9.0], [0.0]])
@@ -142,6 +158,24 @@ class TestBackward:
         with pytest.raises(DetachedGraphError):
             backward(loss, {"x": x})
 
+    def test_interior_tensor_is_freed_before_the_op_beneath_it_runs(self):
+        # Tensor has no __weakref__ slot, but linear's output array lives and
+        # dies with the tensor that holds it
+        x = t([[1.0, -2.0]], grad=True)
+        freed = []
+
+        def below_backward(g):
+            freed.append(mid_data() is None)
+            x.add_grad(g)
+
+        below = Tensor._from_op(x.data.copy(), (x,), below_backward)
+        mid = linear(below, t(np.eye(2)), t(np.zeros(2)), relu=True)
+        mid_data = weakref.ref(mid.data)
+        loss = mse_loss(mid, np.zeros((1, 2)))
+        del mid
+        backward(loss)
+        assert freed == [True]
+
     def test_untouched_leaves_get_zero(self):
         x = t([1.0], grad=True)
         unused = t([2.0], grad=True)
@@ -150,21 +184,14 @@ class TestBackward:
         assert grads["x"][0] != 0.0
 
     def test_multi_consumer_accumulation(self):
-        # y = 2x + 3x + x @ [[4]] has dy/dx = 9; exercises repeated add_grad on one leaf
+        # y = 2x + 3x + 4x, summed from three consumers of x, has dy/dx = 9;
+        # exercises repeated add_grad on one leaf
         x = t([[3.0]], grad=True)
-        y = add(add(matmul(x, t([[2.0]])), matmul(x, t([[3.0]]))), matmul(x, t([[4.0]])))
-        backward(reshape(y, ()))
+        parts = concat(concat(matmul(x, t([[2.0]])), matmul(x, t([[3.0]]))),
+                       linear(x, t([[4.0]]), t([0.0])))
+        total = matmul(parts, t(np.ones((3, 1))))
+        backward(reshape(total, ()))
         assert x.grad[0, 0] == 9.0
-
-    def test_add_same_shape_parents_keep_distinct_grads(self):
-        # a's second contribution must not leak into b through a shared buffer
-        a = t([[1.0, 2.0]], grad=True)
-        b = t([[3.0, 4.0]], grad=True)
-        out = add(add(a, b), matmul(a, t(5.0 * np.eye(2))))
-        backward(mse_loss(out, np.zeros((1, 2))))
-        expected_b = 2.0 / 2 * (a.data + b.data + 5.0 * a.data)
-        assert np.allclose(b.grad, expected_b)
-        assert np.allclose(a.grad, expected_b * 6.0)
 
     def test_structural_ops_roundtrip_gradients(self, rng):
         params = {"x": Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True),
@@ -180,7 +207,7 @@ class TestBackward:
 
     def test_topo_order_parents_first(self):
         x = t([1.0], grad=True)
-        y = relu(x)
+        y = linear(x, t([[2.0]]), t([0.0]))
         z = reshape(y, ())
         order = topo_order(z)
         assert order.index(x) < order.index(y) < order.index(z)
@@ -191,7 +218,8 @@ class TestBackward:
         def run():
             x = Tensor(x_data.copy(), requires_grad=True)
             gen = np.random.Generator(np.random.PCG64(7))
-            y = dropout(relu(matmul(x, x)), 0.5, training=True, rng=gen)
+            y = dropout(linear(x, x, Tensor(np.zeros(4)), relu=True), 0.5, training=True,
+                        rng=gen)
             loss = mse_loss(y, np.zeros((4, 4)))
             backward(loss)
             return loss.item(), x.grad.copy()
@@ -200,6 +228,66 @@ class TestBackward:
         loss_b, grad_b = run()
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
+
+
+class TestLinear:
+    CASES = [(x_shape, use_adj, relu) for x_shape in [(5, 3), (2, 5, 3)]
+             for use_adj in (False, True) for relu in (False, True)]
+
+    def case(self, rng, x_shape, use_adj):
+        x = rng.normal(size=x_shape)
+        w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
+        adj = rng.uniform(0.0, 1.0, size=(5, 5)) if use_adj else None
+        return x, w, b, adj
+
+    @pytest.mark.parametrize("x_shape, use_adj, relu", CASES)
+    def test_forward_is_bitwise_the_composition(self, rng, x_shape, use_adj, relu):
+        x, w, b, adj = self.case(rng, x_shape, use_adj)
+        ref = (x @ w if adj is None else adj @ (x @ w)) + b
+        if relu:
+            ref = np.maximum(ref, 0.0)
+        out = linear(t(x), t(w), t(b), relu=relu, adj=adj)
+        assert np.array_equal(out.data, ref)
+
+    @pytest.mark.parametrize("x_shape, use_adj, relu", CASES)
+    def test_every_coordinate_matches_finite_differences(self, rng, x_shape, use_adj, relu):
+        x, w, b, adj = self.case(rng, x_shape, use_adj)
+        params = {"x": t(x, grad=True), "w": t(w, grad=True), "b": t(b, grad=True)}
+        target = rng.normal(size=x_shape[:-1] + (4,))
+
+        def loss(p):
+            return mse_loss(linear(p["x"], p["w"], p["b"], relu=relu, adj=adj), target)
+
+        for name, err in coordinate_errors(loss, params).items():
+            assert err < 1e-6, (name, err)
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape, adj_shape", [
+        ((5, 3), (4, 2), (2,), None),        # inner widths differ
+        ((5, 3), (3,), (3,), None),          # weight not a matrix
+        ((5, 3), (3, 2), (3,), None),        # bias not one per output
+        ((5, 3), (3, 2), (1, 2), None),
+        ((2, 5, 3), (3, 2), (2,), (4, 4)),   # adjacency vs row count
+        ((2, 5, 3), (3, 2), (2,), (5,)),     # adjacency not a matrix
+        ((3,), (3, 2), (2,), (1, 1)),        # no rows to mix
+    ])
+    def test_shape_mismatch(self, x_shape, w_shape, b_shape, adj_shape):
+        adj = None if adj_shape is None else np.ones(adj_shape)
+        with pytest.raises(ShapeMismatchError):
+            linear(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)), adj=adj)
+
+    def test_backward_makes_no_per_sample_weight_product(self, rng):
+        # a (B, M, K) input: x^T @ g per sample would be a (B, K, N) array
+        n_batch, m, k, n = 64, 2, 64, 64
+        x = t(rng.normal(size=(n_batch, m, k)), grad=True)
+        w, b = t(rng.normal(size=(k, n)), grad=True), t(rng.normal(size=n), grad=True)
+        loss = mse_loss(linear(x, w, b, relu=True), np.zeros((n_batch, m, n)))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_batch * k * n * np.dtype(np.float64).itemsize, peak
 
 
 class TestDropout:

@@ -154,6 +154,23 @@ class TestConfig:
         assert (cfg.fusion_hidden, cfg.grid_epochs) == ([8, 4], [10, 20])
         assert all(type(v) is int for v in (cfg.lookback, *cfg.fusion_hidden, *cfg.grid_epochs))
 
+    def test_float_keys_refuse_booleans(self, tmp_path, data_dir, capsys):
+        # float(True) is 1.0 and str(None) is "None": neither is what the file meant
+        for raw in ({"learning_rate": True}, {"min_support": True}, {"dropout": False},
+                    {"grid_learning_rates": [True, 0.01]}, {"out_dir": None},
+                    {"tickers": ["AAPL", None]}):
+            key = next(iter(raw))
+            with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
+                load_config(None, raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"learning_rate": True}))
+        assert main(["ingest", *base_args(data_dir, tmp_path / "out"), "--config", str(path)]) == 2
+        assert "learning_rate: cannot parse" in capsys.readouterr().err
+        cfg = load_config(None, {"learning_rate": 1, "grid_learning_rates": ["0.5", 2],
+                                 "out_dir": "runs"})
+        assert (cfg.learning_rate, cfg.grid_learning_rates, cfg.out_dir) == (1.0, [0.5, 2.0], "runs")
+        assert all(type(v) is float for v in (cfg.learning_rate, *cfg.grid_learning_rates))
+
     def test_end_date_before_start_date_rejected(self):
         with pytest.raises(ConfigError, match="^end_date: "):
             load_config(None, {"start_date": "2020-02-01", "end_date": "2020-01-31"})

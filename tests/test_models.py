@@ -456,10 +456,10 @@ class TestLstmDtype:
 
 
 class TestLstmTape:
-    """The tape keeps each layer's gates and cells and layer 0's input; the
-    backward recomputes the rest from them."""
+    """The tape keeps each layer's gates and layer 0's input; the backward
+    recomputes the rest from them."""
 
-    def test_tape_holds_gates_and_cells_only(self, rng):
+    def test_tape_holds_gates_only(self, rng):
         n_batch, length, hidden = 1100, 11, 32
         params = init_params(tiny_spec("lstm", hidden_size=hidden), 1, length, rng)
         x = rng.uniform(0.0, 1.0, size=(n_batch, length, 1)).astype(np.float32)
@@ -474,8 +474,8 @@ class TestLstmTape:
             held -= tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # gates (4H) and cells (H) per step, layer and sequence
-        budget = 2 * length * 5 * hidden * n_batch * np.dtype(np.float32).itemsize
+        # gates (4H) per step, layer and sequence
+        budget = 2 * length * 4 * hidden * n_batch * np.dtype(np.float32).itemsize
         assert budget <= held <= 1.1 * budget, held / budget
 
     def test_tape_parents_are_the_weights_only(self, rng):
