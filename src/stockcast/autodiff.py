@@ -14,10 +14,10 @@ into every tracked leaf. The tape is dynamic: it exists only as the parent
 links of the tensors produced during one forward pass.
 
 The ops are the ones the models use: linear (an affine layer, optionally
-under a graph's adjacency and a ReLU, as one op), matmul, concat, reshape,
-dropout and the MSE loss against an array target. The LSTM is one fused op
-of its own in `models`. Finite difference checks of these gradients live
-with the tests.
+under a fixed row-mixing matrix, such as a graph's adjacency or a mean, and a
+ReLU, as one op), concat, reshape, dropout and the MSE loss against an array
+target. The LSTM is one fused op of its own in `models`. Finite difference
+checks of these gradients live with the tests.
 """
 
 from __future__ import annotations
@@ -155,31 +155,13 @@ def backward(
 # -- forward ops ----------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b. A tracked operand may not broadcast over the product's batch
-    axes: its gradient would need a sum over them, which `linear` does."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    if any(p.requires_grad and p.shape[:-2] != data.shape[:-2] for p in (a, b)):
-        raise ShapeMismatchError(f"matmul {a.shape} @ {b.shape}: a tracked operand "
-                                 "broadcasts over the batch")
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.add_grad(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b.add_grad(np.swapaxes(a.data, -1, -2) @ g)
-
-    return Tensor._from_op(data, (a, b), bw)
-
-
 def linear(
     x: Tensor, w: Tensor, b: Tensor, relu: bool = False, adj: np.ndarray | None = None
 ) -> Tensor:
     """x @ w + b over the last axis of `x`, with any leading axes, as one op:
     relu(adj @ (x @ w) + b) with `relu` set and a fixed (M', M) matrix `adj`
-    mixing the rows of each (M, K) slice, as a graph convolution does.
+    mixing the rows of each (M, K) slice, as a graph convolution or a mean
+    pool does.
 
     The tape keeps the input and the output, which the backward reads for the
     ReLU's mask; no pre-activation is kept. The weight gradient is one GEMM

@@ -4,7 +4,8 @@ Each step trains a fresh model on everything up to the day before its test
 date, predicts that single day, and then hands the day to the next step's
 training set. The scaler and (for graph models) the relation graph are
 refit from the training interval alone, so no test information ever leaks
-backward.
+backward. A spec carries every setting its steps read, its graph settings
+included, so one walk can hold specs that differ in any of them.
 """
 
 from __future__ import annotations
@@ -200,7 +201,6 @@ def _fork_pool(workers: int):
 def run_step(
     spec: ModelSpec,
     panel: PricePanel,
-    graph_config: GraphConfig,
     step: PlanStep,
     seed: int,
     initial_params: Mapping[str, Tensor] | None = None,
@@ -219,7 +219,7 @@ def run_step(
     a_hat = None
     if spec.kind == "hybrid":
         returns = daily_returns(train_panel)
-        graph = build_graph(returns, graph_config)
+        graph = build_graph(returns, spec.graph)
         a_hat = normalized_adjacency(graph)
 
     windows = make_windows(scaled_train, train_panel.dates, lookback)
@@ -272,6 +272,10 @@ def run_backtest(
 ) -> BacktestReport:
     """Walk the plan: refit scaler and graph per step, retrain, score one day.
 
+    The hybrid's graph is built with `graph_config`, which replaces
+    `spec.graph`; `compare_models` reads it from each spec instead. The
+    parameter stays because the benchmark's workloads pass it by position.
+
     All reported errors are in scaled space. Each step trains from a fresh
     seeded initialization unless `warm_start` carries the previous step's
     parameters forward. A step whose data or training fails with one of
@@ -283,14 +287,14 @@ def run_backtest(
     worker processes, one per available CPU up to the step count. BLAS runs
     on one thread on both paths, so the results do not depend on the CPUs.
     """
-    return compare_models([spec], panel, graph_config, plan, base_seed, warm_start)[0][1]
+    return compare_models([replace(spec, graph=graph_config)], panel, plan, base_seed,
+                          warm_start)[0][1]
 
 
 def grid_search(
     space: GridSpace,
     template: ModelSpec,
     panel: PricePanel,
-    graph_config: GraphConfig,
     plan: WindowPlan,
     base_seed: int = 0,
 ) -> list[GridCell]:
@@ -316,7 +320,7 @@ def grid_search(
         except ValueError as exc:  # e.g. a cnn1d lookback shorter than its kernel
             cells.append(GridCell(lr, lookback, epochs, None, str(exc)))
 
-    reports = compare_models(specs, panel, graph_config, plan, base_seed) if specs else []
+    reports = compare_models(specs, panel, plan, base_seed) if specs else []
     for spec, report in reports:
         fatal = [f for f in report.failed if not isinstance(f.error, DivergedLossError)]
         cell_failed = bool(fatal) or not math.isfinite(report.summary_mse)
@@ -335,14 +339,14 @@ def grid_search(
 def compare_models(
     specs: Sequence[ModelSpec],
     panel: PricePanel,
-    graph_config: GraphConfig,
     plan: WindowPlan,
     base_seed: int = 0,
     warm_start: bool = False,
 ) -> list[tuple[ModelSpec, BacktestReport]]:
     """Run one or more specs through identical plans and seeds, in given
-    order, each as `run_backtest` does; without warm start, the steps of all
-    specs share one pool of workers, one per available CPU up to their count."""
+    order, each as `run_backtest` does but on the graph of its own
+    `spec.graph`; without warm start, the steps of all specs share one pool
+    of workers, one per available CPU up to their count."""
     if not specs:
         raise ValueError("compare_models needs at least 1 spec")
     n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -357,14 +361,13 @@ def compare_models(
         pool = None if warm_start else _fork_pool(min(n_cpus, len(specs) * plan.n_steps))
         if pool is None:
             def run(spec, step, carried):
-                return run_step(spec, panel, graph_config, step, step_seed(base_seed, step.index),
+                return run_step(spec, panel, step, step_seed(base_seed, step.index),
                                 carried if warm_start else None)
         else:
             stack.callback(pool.shutdown, cancel_futures=True)
             # submitted in the order the folds read them, each dropped once read
             futures = deque(
-                pool.submit(_scored_step, spec, panel, graph_config, step,
-                            step_seed(base_seed, step.index))
+                pool.submit(_scored_step, spec, panel, step, step_seed(base_seed, step.index))
                 for spec in specs for step in plan.steps
             )
 

@@ -150,11 +150,8 @@ def cmd_backtest(cfg: RunConfig) -> Outputs:
     _, panel = _load_inputs(cfg)
     plan = expanding_schedule(panel.dates, cfg.base_train_days, cfg.test_count)
     specs = [cfg.to_model_spec(kind) for kind in cfg.models]
-    reports = [
-        report
-        for _, report in compare_models(specs, panel, cfg.to_graph_config(), plan, cfg.seed,
-                                        warm_start=cfg.warm_start)
-    ]
+    reports = [report for _, report in
+               compare_models(specs, panel, plan, cfg.seed, warm_start=cfg.warm_start)]
     for report in reports:
         if not report.per_day:  # no step scored: fail with the first step's error
             raise report.failed[0].error
@@ -190,7 +187,7 @@ def cmd_gridsearch(cfg: RunConfig) -> Outputs:
         epoch_caps=cfg.grid_epochs,
     )
     template = cfg.to_model_spec(cfg.models[0])
-    cells = grid_search(space, template, panel, cfg.to_graph_config(), plan, cfg.seed)
+    cells = grid_search(space, template, panel, plan, cfg.seed)
     rows = [
         (
             _fmt(c.learning_rate),

@@ -91,7 +91,8 @@ class RunConfig:
         return self._build(GraphConfig)
 
     def to_model_spec(self, kind: str) -> ModelSpec:
-        return self._build(ModelSpec, kind=kind, train=self._build(TrainConfig))
+        return self._build(ModelSpec, kind=kind, train=self._build(TrainConfig),
+                           graph=self.to_graph_config())
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -119,9 +120,9 @@ def validate_config(cfg: RunConfig) -> None:
     """Total validation with a named-field diagnostic on the first failure.
 
     Graph, model and training ranges are checked once, by the dataclasses
-    that own them: building the GraphConfig and the ModelSpec of every
-    configured kind runs their checks. Only keys that exist in RunConfig
-    alone, and its tighter epoch bounds, are checked here.
+    that own them: building the ModelSpec of every configured kind, with its
+    TrainConfig and GraphConfig, runs their checks. Only keys that exist in
+    RunConfig alone, and its tighter epoch bounds, are checked here.
     """
     _check(len(cfg.tickers) >= 2, "tickers", f"needs at least 2, got {len(cfg.tickers)}")
     _check(len(set(cfg.tickers)) == len(cfg.tickers), "tickers", "contains duplicates")
@@ -135,7 +136,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.start_date and cfg.end_date:
         _check(date.fromisoformat(cfg.end_date) >= date.fromisoformat(cfg.start_date), "end_date",
                f"{cfg.end_date} is before start_date {cfg.start_date}")
-    _checked_build(cfg.to_graph_config)
     _check(bool(cfg.models), "models", "must not be empty")
     lo, hi = EPOCH_BOUNDS
     _check(lo <= cfg.epochs <= hi, "epochs", f"must be in [{lo}, {hi}]")
@@ -195,6 +195,8 @@ def _coerce(name: str, value: Any) -> Any:
         if isinstance(default, list):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v]
+            elif not isinstance(value, list):  # a dict would give its keys
+                raise ValueError("expected a list or a comma-separated string")
             item = _COERCE[type(default[0])]
             return [item(v) for v in value]
         if isinstance(default, bool):

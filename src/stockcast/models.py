@@ -22,7 +22,6 @@ from .autodiff import (
     concat,
     dropout,
     linear,
-    matmul,
     mse_loss,
     reshape,
 )
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .market_data import WindowDataset
 from .optim import AdamState, adam_step
+from .relation_graph import GraphConfig
 
 MODEL_KINDS = ("hybrid", "lstm", "linreg", "dense", "cnn1d")
 
@@ -81,6 +81,7 @@ class ModelSpec:
     cnn_channels: int = 16
     cnn_kernel: int = 3
     train: TrainConfig = field(default_factory=TrainConfig)
+    graph: GraphConfig = GraphConfig()  # read by the hybrid alone
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -567,7 +568,8 @@ def _dense_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
 
 def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     """cnn1d: one ReLU convolution over each stock's window, mean-pooled over
-    its L - k + 1 positions, then a linear head shared across stocks."""
+    its L - k + 1 positions, then a linear head shared across stocks. Pool and
+    head are one `linear` op, whose `adj` row takes the mean of the positions."""
     n_batch, length, n_stocks = windows.shape
     if length < spec.cnn_kernel:
         raise ShapeMismatchError(f"window length {length} < kernel {spec.cnn_kernel}")
@@ -579,8 +581,8 @@ def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     rows = Tensor(patches.reshape(n_rows * n_positions, spec.cnn_kernel))
     conv = linear(rows, params["conv.w"], params["conv.b"], relu=True)
     act = reshape(conv, (n_rows, n_positions, spec.cnn_channels))
-    pooled = matmul(Tensor(np.full((1, n_positions), 1.0 / n_positions)), act)  # (B*N, 1, C)
-    out = linear(pooled, params["head.w"], params["head.b"])  # (B*N, 1, 1)
+    out = linear(act, params["head.w"], params["head.b"],
+                 adj=np.full((1, n_positions), 1.0 / n_positions))  # (B*N, 1, 1)
     return reshape(out, (n_batch, n_stocks))
 
 

@@ -10,7 +10,6 @@ from stockcast.autodiff import (
     concat,
     dropout,
     linear,
-    matmul,
     mse_loss,
     reshape,
     topo_order,
@@ -36,23 +35,16 @@ class TestForwardOps:
         assert linear(t([2.0]), one, zero, relu=True).data[0] == 2.0
 
     def test_matmul_shape_algebra(self):
-        out = matmul(t(np.ones((2, 3))), t(np.ones((3, 4))))
+        out = linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.zeros(4)))
         assert out.shape == (2, 4)
+        # a (1, M) adjacency pools each (M, K) slice to one row, as cnn1d's head does
+        out = linear(t(np.ones((4, 2, 3)), grad=True), t(np.ones((3, 5))), t(np.zeros(5)),
+                     adj=np.ones((1, 2)))
+        assert out.shape == (4, 1, 5)
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            matmul(t(np.ones((2, 3))), t(np.ones((4, 2))))
-
-    def test_matmul_refuses_a_tracked_operand_broadcast_over_the_batch(self):
-        # its gradient would need a sum over the batch: that is linear's job
-        batch, weight = np.ones((4, 2, 3)), np.ones((3, 5))
-        with pytest.raises(ShapeMismatchError, match="broadcasts"):
-            matmul(t(batch), t(weight, grad=True))
-        with pytest.raises(ShapeMismatchError, match="broadcasts"):
-            matmul(t(weight.T, grad=True), t(np.ones((4, 3, 2))))
-        # an untracked constant may broadcast, as cnn1d's pooling row does
-        out = matmul(t(np.ones((1, 2))), t(batch, grad=True))
-        assert out.shape == (4, 1, 3)
+            linear(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
 
     def test_concat_feature_widths(self):
         out = concat(t(np.zeros((5, 32))), t(np.zeros((5, 16))), axis=-1)
@@ -130,14 +122,15 @@ class TestBackward:
         target = rng.normal(size=(3, 3))
 
         def build(p):
-            return mse_loss(matmul(p["a"], linear(p["a"], p["b"], p["c"], relu=True)), target)
+            hidden = linear(p["a"], p["b"], p["c"], relu=True)
+            return mse_loss(linear(p["a"], hidden, t(np.zeros(3))), target)
 
         assert gradient_check(build, params, max_coords=9) < 1e-4
 
     def test_not_scalar_loss(self):
         x = t(np.ones((2, 2)), grad=True)
         with pytest.raises(NotScalarLossError):
-            backward(matmul(x, t(np.ones((2, 1)))))
+            backward(linear(x, t(np.ones((2, 1))), t(np.zeros(1))))
 
     def test_detached_graph(self):
         x = t([1.0], grad=True)
@@ -187,9 +180,9 @@ class TestBackward:
         # y = 2x + 3x + 4x, summed from three consumers of x, has dy/dx = 9;
         # exercises repeated add_grad on one leaf
         x = t([[3.0]], grad=True)
-        parts = concat(concat(matmul(x, t([[2.0]])), matmul(x, t([[3.0]]))),
+        parts = concat(concat(linear(x, t([[2.0]]), t([0.0])), linear(x, t([[3.0]]), t([0.0]))),
                        linear(x, t([[4.0]]), t([0.0])))
-        total = matmul(parts, t(np.ones((3, 1))))
+        total = linear(parts, t(np.ones((3, 1))), t([0.0]))
         backward(reshape(total, ()))
         assert x.grad[0, 0] == 9.0
 
@@ -319,7 +312,7 @@ class TestDropout:
         x = t(np.ones(1000), grad=True)
         gen = np.random.Generator(np.random.PCG64(3))
         out = dropout(x, 0.5, training=True, rng=gen)
-        total = matmul(reshape(out, (1, 1000)), t(np.ones((1000, 1))))  # sum of outputs
+        total = linear(reshape(out, (1, 1000)), t(np.ones((1000, 1))), t([0.0]))  # the sum
         backward(reshape(total, ()))
         # zeroed outputs must have zero gradient, survivors 1/(1-rate)
         zeroed = out.data == 0.0

@@ -278,10 +278,10 @@ class TestParallelWalk:
         results = []
         for n_cpus, n_pools in ((1, 0), (2, 1)):
             pools = cpus(n_cpus)
-            rows = compare_models(specs, panel, GraphConfig(), plan, base_seed=3)
+            rows = compare_models(specs, panel, plan, base_seed=3)
             assert len(pools) == n_pools
             pools.clear()
-            cells = grid_search(space, template, panel, GraphConfig(), plan, base_seed=3)
+            cells = grid_search(space, template, panel, plan, base_seed=3)
             assert len(pools) == n_pools
             results.append((
                 [(r.per_day, r.per_stock, [f.reason for f in r.failed]) for _, r in rows],
@@ -348,7 +348,7 @@ class TestGridSearch:
     def test_single_cell_trivially_best(self):
         panel, plan = self.make_inputs()
         space = GridSpace([0.005], [3], [10])
-        cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+        cells = grid_search(space, linreg_spec(), panel, plan)
         assert len(cells) == 1
         assert cells[0].rank == 1
 
@@ -356,7 +356,7 @@ class TestGridSearch:
         panel = random_walk_panel(3, 80, seed=12)
         plan = expanding_schedule(panel.dates, 40, 3)
         space = GridSpace([0.001, 0.005, 0.01], [11, 21], [10, 20, 30, 40, 50])
-        cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+        cells = grid_search(space, linreg_spec(), panel, plan)
         assert len(cells) == 30
         assert [c.rank for c in cells] == list(range(1, 31))
 
@@ -365,14 +365,14 @@ class TestGridSearch:
         # lookback ties exactly and ranking must fall back to the axis order
         panel, plan = self.make_inputs()
         space = GridSpace([0.01, 0.001], [3], [20, 10])
-        cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+        cells = grid_search(space, linreg_spec(), panel, plan)
         ordered = [(c.learning_rate, c.lookback, c.epochs) for c in cells]
         assert ordered == [(0.001, 3, 10), (0.001, 3, 20), (0.01, 3, 10), (0.01, 3, 20)]
 
     def test_ranking_ascending_by_mse(self):
         panel, plan = self.make_inputs()
         space = GridSpace([0.005], [2, 3, 5], [10])
-        cells = grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+        cells = grid_search(space, linreg_spec(), panel, plan)
         values = [c.mean_mse for c in cells]
         assert values == sorted(values)
 
@@ -382,7 +382,7 @@ class TestGridSearch:
         space = GridSpace([1e200, 0.01], [3], [10])
         template = ModelSpec("dense", dense_hidden=(4,), train=base)
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = grid_search(space, template, panel, GraphConfig(), plan)
+            cells = grid_search(space, template, panel, plan)
         assert [c.failed for c in cells] == [False, True]
         assert cells[1].mean_mse is None
         assert cells[1].rank == 2
@@ -395,7 +395,7 @@ class TestGridSearch:
         space = GridSpace([0.01, 0.005], [1], [10])
         template = ModelSpec("hybrid", hidden_size=2, lstm_layers=1, gcn_hidden=2, gcn_out=2,
                              fusion_hidden=(2,), train=base)
-        cells = grid_search(space, template, panel, GraphConfig(), plan)
+        cells = grid_search(space, template, panel, plan)
         assert [(c.learning_rate, c.failed, c.mean_mse, c.rank) for c in cells] == [
             (0.005, True, None, 1), (0.01, True, None, 2)]
 
@@ -404,7 +404,7 @@ class TestGridSearch:
         base = TrainConfig(lookback=3, epochs=10, dropout=0.0)
         space = GridSpace([0.01], [2, 3], [10])
         template = ModelSpec("cnn1d", cnn_channels=2, cnn_kernel=3, dense_hidden=(2,), train=base)
-        cells = grid_search(space, template, panel, GraphConfig(), plan)
+        cells = grid_search(space, template, panel, plan)
         assert [(c.lookback, c.failed, c.rank) for c in cells] == [(3, False, 1), (2, True, 2)]
 
     def test_failed_cell_reasons(self, monkeypatch):
@@ -426,13 +426,12 @@ class TestGridSearch:
             return reports
 
         monkeypatch.setattr(backtest, "compare_models", fake_compare)
-        cells = grid_search(GridSpace(list(step_errors), [3], [10]), linreg_spec(), panel,
-                            GraphConfig(), plan)
+        cells = grid_search(GridSpace(list(step_errors), [3], [10]), linreg_spec(), panel, plan)
         assert {c.learning_rate: (c.failed, c.reason) for c in cells} == {
             0.01: (True, "short"), 0.02: (True, "epoch 1: loss inf"), 0.03: (False, "")}
 
         template = ModelSpec("cnn1d", cnn_kernel=3, train=linreg_spec().train)
-        rejected = grid_search(GridSpace([0.01], [2], [10]), template, panel, GraphConfig(), plan)
+        rejected = grid_search(GridSpace([0.01], [2], [10]), template, panel, plan)
         assert rejected[0].reason == "lookback must be >= cnn_kernel 3 for cnn1d, got 2"
 
     def test_programming_error_in_a_cell_propagates(self, monkeypatch):
@@ -444,7 +443,7 @@ class TestGridSearch:
 
             monkeypatch.setattr(backtest, "train", broken_train)
             with pytest.raises(error, match="broken cell"):
-                grid_search(space, linreg_spec(), panel, GraphConfig(), plan)
+                grid_search(space, linreg_spec(), panel, plan)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -456,7 +455,7 @@ class TestGridSearch:
         panel, plan = self.make_inputs()
         template = ModelSpec("dense", dense_hidden=(4,), train=TrainConfig(
             lookback=3, epochs=10, dropout=0.25, val_fraction=0.3, patience=2))
-        cells = grid_search(GridSpace([0.02], [4], [12]), template, panel, GraphConfig(), plan)
+        cells = grid_search(GridSpace([0.02], [4], [12]), template, panel, plan)
         train_cfg = replace(template.train, learning_rate=0.02, lookback=4, epochs=12)
         report = run_backtest(replace(template, train=train_cfg), panel, GraphConfig(), plan)
         assert not cells[0].failed
@@ -467,11 +466,11 @@ class TestCompareModels:
     def test_needs_a_spec(self):
         panel, plan = TestGridSearch().make_inputs()
         with pytest.raises(ValueError):
-            compare_models([], panel, GraphConfig(), plan)
+            compare_models([], panel, plan)
 
     def test_one_spec_matches_its_backtest(self):
         panel, plan = TestGridSearch().make_inputs()
-        [(spec, report)] = compare_models([linreg_spec()], panel, GraphConfig(), plan, base_seed=2)
+        [(spec, report)] = compare_models([linreg_spec()], panel, plan, base_seed=2)
         alone = run_backtest(linreg_spec(), panel, GraphConfig(), plan, base_seed=2)
         assert spec == linreg_spec()
         assert report.per_day == alone.per_day and report.per_stock == alone.per_stock
@@ -480,7 +479,7 @@ class TestCompareModels:
         panel = random_walk_panel(3, 46, seed=13)
         plan = expanding_schedule(panel.dates, 30, 4)
         specs = [linreg_spec(), linreg_spec()]
-        rows = compare_models(specs, panel, GraphConfig(), plan, base_seed=5)
+        rows = compare_models(specs, panel, plan, base_seed=5)
         assert len(rows) == 2
         assert rows[0][1].summary_mse == rows[1][1].summary_mse
         assert rows[0][1].per_day == rows[1][1].per_day
@@ -498,7 +497,22 @@ class TestCompareModels:
             ModelSpec("cnn1d", train=cfg, **small),
             ModelSpec("dense", train=cfg, **small),
         ]
-        rows = compare_models(specs, panel, GraphConfig(), plan, base_seed=1)
+        rows = compare_models(specs, panel, plan, base_seed=1)
         assert [spec.kind for spec, _ in rows] == ["hybrid", "lstm", "linreg", "cnn1d", "dense"]
         for _, report in rows:
             assert math.isfinite(report.summary_mse)
+
+    def test_hybrids_on_different_graphs_share_one_walk(self):
+        # each spec builds its graph from its own `graph`; a shared walk gives
+        # each what a walk of its own gives, bit for bit
+        panel = lead_lag_panel(60, seed=14)
+        plan = expanding_schedule(panel.dates, 45, 2)
+        hybrid = ModelSpec("hybrid", hidden_size=4, lstm_layers=1, gcn_hidden=3, gcn_out=2,
+                           fusion_hidden=(3,), train=TrainConfig(lookback=5, epochs=3))
+        graphs = [GraphConfig(), GraphConfig(corr_threshold=0.999999, min_lift=1e9)]
+        rows = compare_models([replace(hybrid, graph=g) for g in graphs], panel, plan, base_seed=4)
+        assert [spec.graph for spec, _ in rows] == graphs
+        for (_, shared), graph in zip(rows, graphs):
+            alone = run_backtest(hybrid, panel, graph, plan, base_seed=4)
+            assert shared.per_day == alone.per_day and shared.per_stock == alone.per_stock
+        assert rows[0][1].per_day != rows[1][1].per_day

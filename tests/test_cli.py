@@ -138,6 +138,18 @@ class TestConfig:
         assert cfg.fusion_hidden == [8, 4]
         assert cfg.models == ["hybrid", "lstm"]
 
+    def test_list_keys_refuse_other_values(self, tmp_path, data_dir, capsys):
+        # a JSON object would give its keys, a number has no items
+        for raw in ({"fusion_hidden": {"8": 1, "4": 2}}, {"tickers": {"AAPL": 0, "MSFT": 1}},
+                    {"models": 3}, {"grid_learning_rates": None}):
+            key = next(iter(raw))
+            with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
+                load_config(None, raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dense_hidden": {"32": 32}}))
+        assert main(["ingest", *base_args(data_dir, tmp_path / "out"), "--config", str(path)]) == 2
+        assert "dense_hidden: cannot parse" in capsys.readouterr().err
+
     def test_int_keys_refuse_non_integral_numbers(self, tmp_path, data_dir, capsys):
         for raw in ({"lookback": 7.9}, {"fusion_hidden": [8.5]}, {"grid_epochs": [10.7]},
                     {"seed": True}, {"grid_lookbacks": [11, False]}, {"hidden_size": "inf"}):
@@ -193,11 +205,16 @@ class TestConfig:
         # the to_* methods read every spec field from the key of the same name
         for cls in (GraphConfig, TrainConfig, ModelSpec):
             for f in dataclasses.fields(cls):
-                if f.name not in ("kind", "train"):
+                if f.name not in ("kind", "train", "graph"):
                     assert f.name in RunConfig.__dataclass_fields__, (cls.__name__, f.name)
         assert RunConfig().to_graph_config() == GraphConfig()
         for kind in MODEL_KINDS:
             assert RunConfig().to_model_spec(kind) == ModelSpec(kind)
+
+    def test_model_spec_carries_the_graph_keys(self):
+        spec = load_config(None, {"corr_threshold": 0.5}).to_model_spec("hybrid")
+        assert spec.graph.corr_threshold == 0.5
+        assert spec.graph == GraphConfig(corr_threshold=0.5)
 
 
 class TestIngest:
