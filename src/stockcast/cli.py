@@ -2,11 +2,15 @@
 
 Every subcommand resolves one RunConfig (defaults < config file < --set
 overrides), validates it before touching any data, and returns its plain
-CSV tables plus the extra fields of its run manifest. `main` creates the
-output directory before the command runs and writes the tables into it only
-after the command has succeeded; a refused command leaves no directory it
-created. Reruns with the same config and seed overwrite the outputs with
-byte-identical content.
+CSV tables plus the extra fields of its run manifest. A command runs every
+check that can refuse it before it returns; a table's rows are an iterable
+that `main` consumes once, formatting each row as it writes it, so a table
+the input can make long (`ma_prices.csv`, `assoc_rules.csv`) is never held
+whole as strings. `main` creates the output directory before the command
+runs and writes the tables into it only after the command has succeeded; a
+refused command, or a table that cannot be written, leaves no file it wrote
+and no directory it created. Reruns with the same config and seed overwrite
+the outputs with byte-identical content.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training failure.
 """
@@ -50,8 +54,9 @@ EXIT_TRAIN = 4
 MA_SHORT = 50
 MA_LONG = 200
 
-# what a command returns: {file name: (header, rows)} and its manifest extras
-Outputs = tuple[dict[str, tuple[Sequence[str], list]], dict]
+# what a command returns: {file name: (header, rows)} and its manifest extras;
+# the rows are an iterable that is consumed once, by the write
+Outputs = tuple[dict[str, tuple[Sequence[str], Iterable[Sequence]]], dict]
 
 
 def _fmt(x: float) -> str:
@@ -64,13 +69,6 @@ def _fmt_column(values, first: int) -> list[str]:
     return [""] * min(first, len(values)) + list(map(repr, values[first:].tolist()))
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
     """Parse each ticker file once; returns the raw series and their aligned
     panel, restricted to the configured dates."""
@@ -79,7 +77,11 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
         path = Path(cfg.data_dir) / f"{ticker}.csv"
         if not path.is_file():
             raise DataFileError(f"{ticker}: no data file at {path}")
-        series.append(parse_ohlcv_csv(path.read_bytes(), ticker))
+        try:
+            content = path.read_bytes()
+        except OSError as exc:
+            raise DataFileError(f"{ticker}: cannot read {path}: {exc.strerror or exc}") from None
+        series.append(parse_ohlcv_csv(content, ticker))
     panel = align_panel(series)
     if cfg.start_date or cfg.end_date:
         start = date.fromisoformat(cfg.start_date) if cfg.start_date else panel.dates[0]
@@ -101,15 +103,18 @@ def cmd_ingest(cfg: RunConfig) -> Outputs:
         for s in series
     ]
     days = [day.isoformat() for day in panel.dates]
-    rows = []
-    for j, ticker in enumerate(panel.tickers):
-        rows.extend(zip(
+    # one ticker's strings at a time, made as the write reaches them
+    rows = (
+        row
+        for j, ticker in enumerate(panel.tickers)
+        for row in zip(
             days,
             repeat(ticker),
             _fmt_column(norm[:, j], 0),
             _fmt_column(moving_average(norm[:, j], MA_SHORT), MA_SHORT - 1),
             _fmt_column(moving_average(norm[:, j], MA_LONG), MA_LONG - 1),
-        ))
+        )
+    )
     return {
         "panel_summary.csv": (("ticker", "rows", "first_date", "last_date"), summary),
         "ma_prices.csv": (("date", "ticker", "norm_close", "ma50", "ma200"), rows),
@@ -124,7 +129,7 @@ def cmd_graph(cfg: RunConfig) -> Outputs:
     _, panel = _load_inputs(cfg)
     graph = build_graph(daily_returns(panel), cfg.to_graph_config())
     edges = graph.edges
-    rules = [
+    rules = (
         (
             _items_label(r.antecedent),
             _items_label(r.consequent),
@@ -133,7 +138,7 @@ def cmd_graph(cfg: RunConfig) -> Outputs:
             _fmt(r.lift),
         )
         for r in graph.rules.rules
-    ]
+    )
     return {
         "graph_edges.csv": (("ticker_a", "ticker_b", "weight", "provenance"),
                             [(a, b, _fmt(w), p) for a, b, w, p in edges]),
@@ -276,7 +281,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
     """Create `out_dir`, run the command, and write its outputs into the
-    directory once it has succeeded; returns the exit code."""
+    directory once it has succeeded; returns the exit code. If a file
+    cannot be written, the files this run opened are removed."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # refused before any work
@@ -297,10 +303,24 @@ def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    for name, (header, rows) in tables.items():
-        _write_csv(out_dir / name, header, rows)
-    text = "\n".join(manifest_lines(cfg, command, extra)) + "\n"
-    (out_dir / "run_manifest.txt").write_text(text)
+    written: list[Path] = []  # each file once it is open, so a write that fails is removed too
+    try:
+        for name, (header, rows) in tables.items():
+            with open(out_dir / name, "w", newline="") as fh:
+                written.append(out_dir / name)
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        name = "run_manifest.txt"
+        with open(out_dir / name, "w") as fh:
+            written.append(out_dir / name)
+            fh.write("\n".join(manifest_lines(cfg, command, extra)) + "\n")
+    except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        print(f"config error: out_dir: cannot write {name}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -126,6 +126,11 @@ def validate_config(cfg: RunConfig) -> None:
     """
     _check(len(cfg.tickers) >= 2, "tickers", f"needs at least 2, got {len(cfg.tickers)}")
     _check(len(set(cfg.tickers)) == len(cfg.tickers), "tickers", "contains duplicates")
+    # a path separator would read outside data_dir; ':' and '|' separate the
+    # parts of an assoc_rules.csv item label
+    for ticker in cfg.tickers:
+        _check(bool(ticker) and not set(ticker) & set("/\\:|"), "tickers",
+               f"{ticker!r} is empty or contains one of / \\ : |")
     for name in ("start_date", "end_date"):
         value = getattr(cfg, name)
         if value:

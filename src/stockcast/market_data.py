@@ -109,12 +109,18 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
 
     The header must be exactly ``date,open,high,low,close,adj_close,volume``;
     dates are ISO-8601, numbers use a period decimal separator. Bytes are
-    decoded as UTF-8 with an optional byte-order mark; blank lines are skipped.
-    The checks run over the whole file at once; when one fails, the first
-    faulty row in file order is reported.
+    decoded as UTF-8 with an optional byte-order mark, and bytes that are not
+    UTF-8 (a UTF-16 export, say) are a MalformedRowError; blank lines are
+    skipped. The checks run over the whole file at once; when one fails, the
+    first faulty row in file order is reported.
     """
     if isinstance(content, bytes):
-        content = content.decode("utf-8-sig")
+        try:
+            content = content.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise MalformedRowError(
+                f"{ticker}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
     reader = csv.reader(io.StringIO(content))
     try:
         header = next(reader)

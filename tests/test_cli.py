@@ -1,15 +1,17 @@
 import csv
 import dataclasses
+import errno
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stockcast import market_data, relation_graph
-from stockcast.cli import main
+from stockcast import cli, market_data, relation_graph
+from stockcast.cli import _load_inputs, main
 from stockcast.config import EPOCH_BOUNDS, RunConfig, load_config
 from stockcast.errors import ConfigError
 from stockcast.models import MODEL_KINDS, ModelSpec, TrainConfig
@@ -216,6 +218,21 @@ class TestConfig:
         assert spec.graph.corr_threshold == 0.5
         assert spec.graph == GraphConfig(corr_threshold=0.5)
 
+    def test_tickers_that_corrupt_outputs_or_paths_are_refused(self, tmp_path, data_dir,
+                                                               capsys, monkeypatch):
+        # a path separator reads outside data_dir; ':' and '|' split rule labels
+        calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
+        for bad in ("../S01", "S0\\1", "S0:1", "S0|1"):
+            with pytest.raises(ConfigError, match="^tickers: "):
+                load_config(None, {"tickers": ["S00", bad]})
+            assert main(["ingest", *base_args(data_dir, tmp_path / "out", f"S00,{bad}")]) == 2
+            assert capsys.readouterr().err.startswith("config error: tickers: "), bad
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"tickers": ["S00", "", "S01"]}))
+        with pytest.raises(ConfigError, match="^tickers: '' is empty"):
+            load_config(path)
+        assert calls == []
+
 
 class TestIngest:
     def test_outputs(self, data_dir, tmp_path):
@@ -288,6 +305,96 @@ class TestIngest:
         assert main(["ingest", *base_args(data_dir, out, tickers="S00,MISSING")]) == 3
         assert not (kept / "new").exists()
         assert kept.is_dir()
+
+    def test_ma_prices_match_a_numpy_reference(self, tmp_path):
+        # 260 days, so that ma200 has values
+        panel = random_walk_panel(3, 260, seed=5)
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        out = tmp_path / "out"
+        assert main(["ingest", *base_args(data, out)]) == 0
+
+        close = panel.close
+        norm = (close - close.min(axis=0)) / (close.max(axis=0) - close.min(axis=0))
+
+        def trailing_mean(column, window):
+            sums = np.concatenate(([0.0], np.cumsum(column)))
+            means = (sums[window:] - sums[:-window]) / window
+            return [""] * (window - 1) + [repr(v) for v in means.tolist()]
+
+        lines = ["date,ticker,norm_close,ma50,ma200\n"]
+        for j, ticker in enumerate(panel.tickers):
+            column = norm[:, j]
+            columns = zip(column.tolist(), trailing_mean(column, 50), trailing_mean(column, 200))
+            for day, (value, ma50, ma200) in zip(panel.dates, columns):
+                lines.append(f"{day.isoformat()},{ticker},{value!r},{ma50},{ma200}\n")
+        assert (out / "ma_prices.csv").read_bytes() == "".join(lines).encode()
+
+    def test_memory_stays_at_the_parse_peak(self, tmp_path):
+        # the ma_prices.csv rows are formatted as they are written, so the
+        # command holds no more at its peak than parsing its inputs does
+        panel = random_walk_panel(40, 1000, seed=8)
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        argv = ["ingest", *base_args(data, tmp_path / "out", ",".join(panel.tickers))]
+        cfg = load_config(None, {"data_dir": str(data), "tickers": panel.tickers})
+
+        def traced_peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert main(argv) == 0  # first-call costs outside the measurement
+        load = traced_peak(lambda: _load_inputs(cfg))
+        ingest = traced_peak(lambda: main(argv))
+        assert ingest - load < 2**20, (load / 2**20, ingest / 2**20)
+
+    def test_non_utf8_file_is_a_data_error(self, data_dir, tmp_path, capsys):
+        # a spreadsheet's "Unicode text" export is UTF-16
+        path = data_dir / "S01.csv"
+        path.write_text(path.read_text(), encoding="utf-16")
+        out = tmp_path / "out"
+        assert main(["ingest", *base_args(data_dir, out)]) == 3
+        assert capsys.readouterr().err.startswith("data error: S01: not UTF-8 text")
+        assert not out.exists()
+
+    def test_unreadable_file_is_a_data_error(self, data_dir, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        out = tmp_path / "out"
+        assert main(["ingest", *base_args(data_dir, out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: S00: cannot read") and "Permission denied" in err, err
+        assert str(data_dir / "S00.csv") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["panel_summary.csv", "ma_prices.csv", "run_manifest.txt"])
+    def test_output_that_cannot_be_written_removes_the_run(self, data_dir, tmp_path, capsys,
+                                                            blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(["ingest", *base_args(data_dir, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out_dir: cannot write {blocked}: "), err
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
+
+    def test_failed_write_removes_the_file_it_opened(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "manifest_lines", full)
+        out = tmp_path / "out"
+        assert main(["ingest", *base_args(data_dir, out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: cannot write run_manifest.txt: "), err
+        assert not out.exists()
 
     def test_each_file_parsed_once(self, data_dir, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, market_data.parse_ohlcv_csv)
