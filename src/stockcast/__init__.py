@@ -13,7 +13,6 @@ from .backtest import (
     run_backtest,
 )
 from .market_data import (
-    DateRange,
     PricePanel,
     RawSeries,
     ReturnPanel,

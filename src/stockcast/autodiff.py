@@ -26,13 +26,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DetachedGraphError,
-    InvalidRateError,
-    NotScalarLossError,
-    ShapeMismatchError,
-)
-
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -121,7 +114,7 @@ def backward(
     as it is consumed, so a second call on the same loss finds no parents.
     """
     if loss.data.size != 1:
-        raise NotScalarLossError(f"loss has shape {loss.data.shape}")
+        raise ValueError(f"loss has shape {loss.data.shape}")
 
     if params is not None:
         for p in params.values():
@@ -143,7 +136,7 @@ def backward(
     if params is None:
         return None
     if params and not any(id(p) in reachable for p in params.values()):
-        raise DetachedGraphError("loss does not depend on any given parameter")
+        raise ValueError("loss does not depend on any given parameter")
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         if p.grad is None:
@@ -168,9 +161,9 @@ def linear(
     over the flattened leading axes, so no per-sample (K, N) products exist.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeMismatchError(f"linear {x.shape} @ {w.shape} + {b.shape}")
+        raise ValueError(f"linear {x.shape} @ {w.shape} + {b.shape}")
     if adj is not None and (adj.ndim != 2 or x.ndim < 2 or adj.shape[1] != x.shape[-2]):
-        raise ShapeMismatchError(f"linear adjacency {adj.shape} on input {x.shape}")
+        raise ValueError(f"linear adjacency {adj.shape} on input {x.shape}")
     data = x.data @ w.data
     if adj is not None:
         data = adj @ data
@@ -195,10 +188,10 @@ def linear(
 
 def concat(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
-        raise ShapeMismatchError(f"concat axis {axis} of {a.shape}")
+        raise ValueError(f"concat axis {axis} of {a.shape}")
     ax = axis % a.ndim
     if a.ndim != b.ndim or a.shape[:ax] + a.shape[ax + 1:] != b.shape[:ax] + b.shape[ax + 1:]:
-        raise ShapeMismatchError(f"concat {a.shape} | {b.shape} on axis {axis}")
+        raise ValueError(f"concat {a.shape} | {b.shape} on axis {axis}")
     data = np.concatenate([a.data, b.data], axis=axis)
     split = a.shape[ax]
 
@@ -225,7 +218,7 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over all elements of the squared difference from a fixed target."""
     target = np.asarray(target)
     if pred.shape != target.shape:
-        raise ShapeMismatchError(f"mse_loss {pred.shape} vs {target.shape}")
+        raise ValueError(f"mse_loss {pred.shape} vs {target.shape}")
     diff = pred.data - target
     n = diff.size
     data = np.asarray((diff * diff).sum() / n)
@@ -242,7 +235,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     Eval mode (training=False) and rate 0 are both the identity.
     """
     if not 0.0 <= rate < 1.0:
-        raise InvalidRateError(f"dropout rate {rate}")
+        raise ValueError(f"dropout rate {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:

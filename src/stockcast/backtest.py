@@ -23,24 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import (
-    DegenerateSeriesError,
-    DivergedLossError,
-    InsufficientHistoryError,
-    ModelError,
-    PanelTooShortError,
-    SliceTooShortError,
-    StockcastError,
-    ZeroVarianceError,
-)
-from .market_data import (
-    DateRange,
-    PricePanel,
-    daily_returns,
-    fit_scaler,
-    make_windows,
-    scale,
-)
+from .errors import DivergedLossError, InsufficientHistoryError, StockcastError
+from .market_data import PricePanel, daily_returns, fit_scaler, make_windows, scale
 from .models import ModelSpec, predict, train
 from .relation_graph import GraphConfig, build_graph, normalized_adjacency
 
@@ -60,12 +44,6 @@ class WindowPlan:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-
-# What one step's own data or training can raise. Any other error (a shape
-# or ticker mismatch, say) is a fault of the program and ends the walk.
-STEP_ERRORS = (PanelTooShortError, DegenerateSeriesError, SliceTooShortError,
-               ZeroVarianceError, ModelError)
 
 
 @dataclass(eq=False)
@@ -212,7 +190,7 @@ def run_step(
     trained parameters; raises whatever the step's data or training raises.
     """
     lookback = spec.train.lookback
-    train_panel = panel.window(DateRange(step.train_start, step.train_end))
+    train_panel = panel.window(step.train_start, step.train_end)
     scaler = fit_scaler(train_panel)
     scaled_train = scale(scaler, train_panel)
 
@@ -224,7 +202,7 @@ def run_step(
 
     windows = make_windows(scaled_train, train_panel.dates, lookback)
     result = train(spec, windows, a_hat, seed=seed, initial_params=initial_params)
-    test_panel = panel.window(DateRange(step.test_date, step.test_date))
+    test_panel = panel.window(step.test_date, step.test_date)
     actual = scale(scaler, test_panel)[0]
     prediction = predict(spec, result.params, scaled_train[-lookback:], a_hat)
     return prediction, actual, result.params
@@ -246,7 +224,7 @@ def _report(spec: ModelSpec, panel: PricePanel, plan: WindowPlan, run) -> Backte
     for step in plan.steps:
         try:
             prediction, actual, params = run(spec, step, carried)
-        except STEP_ERRORS as exc:
+        except StockcastError as exc:
             # drop the traceback so a failed step does not keep its frames alive
             failed.append(FailedStep(step.index, step.test_date, exc.with_traceback(None)))
             continue
@@ -278,10 +256,11 @@ def run_backtest(
 
     All reported errors are in scaled space. Each step trains from a fresh
     seeded initialization unless `warm_start` carries the previous step's
-    parameters forward. A step whose data or training fails with one of
-    STEP_ERRORS (too few days, a diverged loss, ...) is recorded with its
+    parameters forward. A step whose data or training fails with a
+    StockcastError (too few days, a diverged loss, ...) is recorded with its
     error under `failed`, excluded from the summary mean, and the walk goes
-    on; any other exception propagates.
+    on; any other exception, a ValueError of a misused function included,
+    propagates.
 
     Without warm start the steps are independent, so they run in forked
     worker processes, one per available CPU up to the step count. BLAS runs

@@ -12,7 +12,11 @@ refused command, or a table that cannot be written, leaves no file it wrote
 and no directory it created. Reruns with the same config and seed overwrite
 the outputs with byte-identical content.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 training failure.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
+failure. A data error is any StockcastError that is not a configuration or
+training error. A fault of the program (a ValueError of a misused function,
+say) gets no exit code: it raises with its traceback, and a command it
+ends leaves no directory it created.
 """
 
 from __future__ import annotations
@@ -28,11 +32,8 @@ from typing import Iterable, Sequence
 
 from .backtest import GridSpace, compare_models, expanding_schedule, grid_search
 from .config import RunConfig, load_config, manifest_lines
-from .errors import (
-    ConfigError, DataFileError, MarketDataError, ModelError, PanelTooShortError, StockcastError,
-)
+from .errors import ConfigError, DataFileError, ModelError, PanelTooShortError, StockcastError
 from .market_data import (
-    DateRange,
     PricePanel,
     RawSeries,
     align_panel,
@@ -86,8 +87,8 @@ def _load_inputs(cfg: RunConfig) -> tuple[list[RawSeries], PricePanel]:
     if cfg.start_date or cfg.end_date:
         start = date.fromisoformat(cfg.start_date) if cfg.start_date else panel.dates[0]
         end = date.fromisoformat(cfg.end_date) if cfg.end_date else panel.dates[-1]
-        # a one-sided range can lie wholly past the panel's other end
-        if start > end or (panel := panel.window(DateRange(start, end))).n_days == 0:
+        # an inverted range, or a one-sided one wholly past the panel's other end
+        if (panel := panel.window(start, end)).n_days == 0:
             raise DataFileError("date range excludes every panel day")
     return series, panel
 
@@ -293,14 +294,11 @@ def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFileError, MarketDataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ModelError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAIN
     except StockcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
     written: list[Path] = []  # each file once it is open, so a write that fails is removed too

@@ -1,8 +1,14 @@
 """Exception types raised across the package.
 
-Every error derives from StockcastError so callers can catch the whole
-family with one clause; the leaf classes exist because tests and the CLI
-distinguish failure modes.
+One rule decides what is a StockcastError. A StockcastError is a condition
+of the inputs: of the data, the configuration or the training. A backtest
+walk records one raised by a step as that step's failure and goes on, and
+the CLI maps it to an exit code. A function called outside its contract
+(mismatched shapes, a rate out of range, tickers that disagree) raises
+ValueError instead. No walk or command contains it: it propagates as a
+fault of the program, with its traceback. Only `config` reads a ValueError,
+that of a spec's own range check, and raises it as a ConfigError before any
+command runs.
 """
 
 
@@ -40,10 +46,6 @@ class DegenerateSeriesError(MarketDataError):
     """A ticker is constant over the scaler fit range (max == min)."""
 
 
-class TickerMismatchError(MarketDataError):
-    """Tickers of the scaler and the data being (un)scaled disagree."""
-
-
 class SliceTooShortError(MarketDataError):
     """A slice does not cover lookback + 1 days, so no window fits."""
 
@@ -54,32 +56,6 @@ class ZeroVarianceError(StockcastError):
     """A ticker has constant returns over the correlation range."""
 
 
-class EmptyDatabaseError(StockcastError):
-    """Frequent-itemset mining was asked to run on zero transactions."""
-
-
-class UnknownTickerError(StockcastError):
-    """A rule references a ticker outside the vertex set."""
-
-
-# -- autodiff ------------------------------------------------------------
-
-class ShapeMismatchError(StockcastError):
-    """Operand shapes are incompatible for the requested op."""
-
-
-class NotScalarLossError(StockcastError):
-    """backward() was called on a non-scalar tensor."""
-
-
-class DetachedGraphError(StockcastError):
-    """The loss does not depend on any of the given parameters."""
-
-
-class InvalidRateError(StockcastError):
-    """Dropout rate outside [0, 1)."""
-
-
 # -- models / training ---------------------------------------------------
 
 class ModelError(StockcastError):
@@ -87,7 +63,8 @@ class ModelError(StockcastError):
 
 
 class EmptyDatasetError(ModelError):
-    """Training was started on a dataset with no samples."""
+    """Training was started on a dataset with no samples, or linreg on too
+    few samples (at most lookback + 1) to fit its coefficients."""
 
 
 class DivergedLossError(ModelError):

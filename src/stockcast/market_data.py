@@ -21,7 +21,6 @@ from .errors import (
     NonPositivePriceError,
     PanelTooShortError,
     SliceTooShortError,
-    TickerMismatchError,
 )
 
 OHLCV_COLUMNS = ("date", "open", "high", "low", "close", "adj_close", "volume")
@@ -40,18 +39,6 @@ class RawSeries:
     rows: np.ndarray  # (days, 6) float64, columns in OHLCV_COLUMNS[1:] order
 
 
-@dataclass(frozen=True, slots=True)
-class DateRange:
-    """Inclusive calendar interval."""
-
-    start: date
-    end: date
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"empty date range: {self.start}..{self.end}")
-
-
 @dataclass(eq=False)
 class PricePanel:
     """Aligned close-price matrix: one row per common trading day, one column per ticker."""
@@ -68,9 +55,10 @@ class PricePanel:
     def n_stocks(self) -> int:
         return len(self.tickers)
 
-    def window(self, rng: DateRange) -> "PricePanel":
-        """Sub-panel restricted to the dates inside `rng` (inclusive)."""
-        lo, hi = bisect_left(self.dates, rng.start), bisect_right(self.dates, rng.end)
+    def window(self, start: date, end: date) -> "PricePanel":
+        """Sub-panel of the dates from `start` to `end`, both inclusive; empty
+        if `end` precedes `start`."""
+        lo, hi = bisect_left(self.dates, start), bisect_right(self.dates, end)
         return PricePanel(self.tickers, self.dates[lo:hi], self.close[lo:hi])
 
 
@@ -236,7 +224,7 @@ def fit_scaler(panel: PricePanel) -> Scaler:
 def scale(scaler: Scaler, panel: PricePanel) -> np.ndarray:
     """Map closes through (x - min) / (max - min); out-of-range values extrapolate."""
     if list(panel.tickers) != list(scaler.tickers):
-        raise TickerMismatchError(f"{panel.tickers} vs scaler {scaler.tickers}")
+        raise ValueError(f"{panel.tickers} vs scaler {scaler.tickers}")
     return (panel.close - scaler.x_min) / (scaler.x_max - scaler.x_min)
 
 
@@ -245,12 +233,10 @@ def invert_scale(
 ) -> np.ndarray:
     """Inverse of `scale` for a matrix or vector ordered like scaler.tickers."""
     if tickers is not None and list(tickers) != list(scaler.tickers):
-        raise TickerMismatchError(f"{list(tickers)} vs scaler {scaler.tickers}")
+        raise ValueError(f"{list(tickers)} vs scaler {scaler.tickers}")
     scaled = np.asarray(scaled, dtype=np.float64)
     if scaled.shape[-1] != len(scaler.tickers):
-        raise TickerMismatchError(
-            f"last axis {scaled.shape[-1]} != {len(scaler.tickers)} tickers"
-        )
+        raise ValueError(f"last axis {scaled.shape[-1]} != {len(scaler.tickers)} tickers")
     return scaled * (scaler.x_max - scaler.x_min) + scaler.x_min
 
 

@@ -25,13 +25,7 @@ from .autodiff import (
     mse_loss,
     reshape,
 )
-from .errors import (
-    DivergedLossError,
-    EmptyDatasetError,
-    InvalidRateError,
-    ShapeMismatchError,
-    SingularSystemError,
-)
+from .errors import DivergedLossError, EmptyDatasetError, SingularSystemError
 from .market_data import WindowDataset
 from .optim import AdamState, adam_step
 from .relation_graph import GraphConfig
@@ -349,19 +343,19 @@ def lstm_stack(
     as well. Work arrays come from `_work` and are reused across calls.
     """
     if not layer_params:
-        raise ShapeMismatchError("lstm_stack needs at least one layer")
+        raise ValueError("lstm_stack needs at least one layer")
     n_batch, length, d0 = x.shape
     n_layers = len(layer_params)
     H = layer_params[0][1].shape[0]
     for layer, (wx, wh, b) in enumerate(layer_params):
         d = d0 if layer == 0 else H
         if wx.shape != (d, 4 * H) or wh.shape != (H, 4 * H) or b.shape != (4 * H,):
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"lstm layer {layer} on input width {d}: wx {wx.shape}, wh {wh.shape}, "
                 f"b {b.shape}; expected ({d}, {4 * H}), ({H}, {4 * H}), ({4 * H},)"
             )
     if not 0.0 <= dropout_rate < 1.0:
-        raise InvalidRateError(f"dropout rate {dropout_rate}")
+        raise ValueError(f"dropout rate {dropout_rate}")
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training-mode dropout needs an rng")
 
@@ -525,7 +519,7 @@ def gcn_forward(
     x = features if isinstance(features, Tensor) else Tensor(features)
     adj = np.asarray(a_hat, dtype=np.float64)
     if x.shape[-2] != adj.shape[0]:
-        raise ShapeMismatchError(f"{x.shape[-2]} feature rows vs {adj.shape[0]} graph nodes")
+        raise ValueError(f"{x.shape[-2]} feature rows vs {adj.shape[0]} graph nodes")
     h = linear(x, params["gcn1.w"], params["gcn1.b"], relu=True, adj=adj)
     h = dropout(h, dropout_rate, training, rng)
     return linear(h, params["gcn2.w"], params["gcn2.b"], relu=True, adj=adj)
@@ -572,7 +566,7 @@ def _cnn_batch(windows: np.ndarray, spec: ModelSpec, params) -> Tensor:
     head are one `linear` op, whose `adj` row takes the mean of the positions."""
     n_batch, length, n_stocks = windows.shape
     if length < spec.cnn_kernel:
-        raise ShapeMismatchError(f"window length {length} < kernel {spec.cnn_kernel}")
+        raise ValueError(f"window length {length} < kernel {spec.cnn_kernel}")
     # (B, N, P, kernel): every window of `kernel` consecutive days of each stock
     patches = np.lib.stride_tricks.sliding_window_view(
         windows.swapaxes(1, 2), spec.cnn_kernel, axis=-1)
@@ -699,9 +693,9 @@ def train(
         n_val = min(max(1, round(cfg.val_fraction * n_samples)), n_samples - 1)
     n_train = n_samples - n_val
 
-    train_x = dataset.inputs[:n_train]
-    train_y = dataset.targets[:n_train]
-    val_x = _windows(spec, dataset.inputs[n_train:]) if n_val else None
+    windows = _windows(spec, dataset.inputs)  # cast once, not per batch
+    train_x, train_y = windows[:n_train], dataset.targets[:n_train]
+    val_x = windows[n_train:] if n_val else None
     val_y = dataset.targets[n_train:] if n_val else None
 
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -724,8 +718,7 @@ def train(
         total = 0.0
         for lo in range(0, n_train, batch):
             idx = order[lo : lo + batch]
-            x = _windows(spec, train_x[idx])
-            pred = model_forward(x, spec, params, a_hat, training=True, rng=rng)
+            pred = model_forward(train_x[idx], spec, params, a_hat, training=True, rng=rng)
             loss = mse_loss(pred, train_y[idx])
             value = float(loss.data)
             if not math.isfinite(value):

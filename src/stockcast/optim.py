@@ -8,7 +8,6 @@ from typing import Mapping
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ShapeMismatchError
 
 
 @dataclass
@@ -39,7 +38,7 @@ def adam_step(
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
-            raise ShapeMismatchError(f"{name}: grad {g.shape} vs param {p.data.shape}")
+            raise ValueError(f"{name}: grad {g.shape} vs param {p.data.shape}")
         m = state.m.get(name)
         if m is None:
             m = state.m[name] = np.zeros_like(p.data)

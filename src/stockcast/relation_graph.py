@@ -14,12 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyDatabaseError,
-    PanelTooShortError,
-    UnknownTickerError,
-    ZeroVarianceError,
-)
+from .errors import PanelTooShortError, ZeroVarianceError
 from .market_data import ReturnPanel
 
 UP = "UP"
@@ -155,7 +150,7 @@ def apriori_frequent(
         raise ValueError(f"min_support must be in (0, 1], got {min_support}")
     n = txdb.present.shape[0]
     if n == 0:
-        raise EmptyDatabaseError("no transactions to mine")
+        raise ValueError("no transactions to mine")
     frequent: dict[frozenset[Item], float] = {}
 
     def keep(
@@ -247,7 +242,7 @@ def assemble_graph(
         try:
             columns = [index[ticker] for side in sides for ticker, _ in side]
         except KeyError as exc:
-            raise UnknownTickerError(f"rule references unknown ticker {exc.args[0]!r}") from None
+            raise ValueError(f"rule references unknown ticker {exc.args[0]!r}") from None
         mask[owner, columns] = True
         return mask
 

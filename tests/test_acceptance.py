@@ -18,7 +18,6 @@ from stockcast.backtest import compare_models, expanding_schedule, run_backtest
 from stockcast.cli import _load_inputs, main
 from stockcast.config import load_config
 from stockcast.market_data import (
-    DateRange,
     daily_returns,
     fit_scaler,
     invert_scale,
@@ -373,7 +372,7 @@ class TestDirectionalStudy:
             improvements.append((lstm - hybrid) / lstm)
 
             for step in plan.steps:
-                window = panel.window(DateRange(step.train_start, step.train_end))
+                window = panel.window(step.train_start, step.train_end)
                 assert not build_graph(daily_returns(window), no_edges).weight.any(), step
             control_wins += hybrid < edgeless
             control_gains.append((edgeless - hybrid) / edgeless)

@@ -14,12 +14,6 @@ from stockcast.autodiff import (
     reshape,
     topo_order,
 )
-from stockcast.errors import (
-    DetachedGraphError,
-    InvalidRateError,
-    NotScalarLossError,
-    ShapeMismatchError,
-)
 
 from conftest import coordinate_errors, gradient_check
 
@@ -43,7 +37,7 @@ class TestForwardOps:
         assert out.shape == (4, 1, 5)
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^linear \(2, 3\) @ \(4, 2\) \+ \(2,\)$"):
             linear(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
 
     def test_concat_feature_widths(self):
@@ -51,18 +45,18 @@ class TestForwardOps:
         assert out.shape == (5, 48)
 
     def test_concat_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^concat \(5, 3\) \| \(4, 2\) on axis -1$"):
             concat(t(np.zeros((5, 3))), t(np.zeros((4, 2))))
 
     @pytest.mark.parametrize("a_shape, b_shape", [((5, 3), (3,)), ((3,), (5, 3))])
     def test_concat_rank_mismatch(self, a_shape, b_shape):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^concat \(.*\) \| \(.*\) on axis -1$"):
             concat(t(np.zeros(a_shape)), t(np.zeros(b_shape)), axis=-1)
 
     @pytest.mark.parametrize("b_shape, axis", [((2, 3), 2), ((2, 3), -3), ((4, 3), 2)])
     def test_concat_axis_out_of_range(self, b_shape, axis):
         # axis 2 must not wrap to axis 0, where (2, 3) | (4, 3) would pass the shape check
-        with pytest.raises(ShapeMismatchError, match="axis"):
+        with pytest.raises(ValueError, match=rf"^concat axis {axis} of \(2, 3\)$"):
             concat(t(np.zeros((2, 3))), t(np.zeros(b_shape)), axis=axis)
 
     def test_linear_broadcasts_bias(self):
@@ -90,7 +84,7 @@ class TestMseLoss:
         assert mse_loss(t([0.1, -0.1]), np.zeros(2)).item() == pytest.approx(0.01)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^mse_loss \(2,\) vs \(1,\)$"):
             mse_loss(t([1.0, 2.0]), np.array([1.0]))
 
     def test_nonnegative_and_zero_iff_equal(self, rng):
@@ -129,14 +123,14 @@ class TestBackward:
 
     def test_not_scalar_loss(self):
         x = t(np.ones((2, 2)), grad=True)
-        with pytest.raises(NotScalarLossError):
+        with pytest.raises(ValueError, match=r"^loss has shape \(2, 1\)$"):
             backward(linear(x, t(np.ones((2, 1))), t(np.zeros(1))))
 
     def test_detached_graph(self):
         x = t([1.0], grad=True)
         y = t([2.0], grad=True)
         loss = mse_loss(reshape(x, (1,)), np.zeros(1))
-        with pytest.raises(DetachedGraphError):
+        with pytest.raises(ValueError, match="^loss does not depend on any given parameter$"):
             backward(loss, {"y": y})
 
     def test_backward_frees_the_tape(self):
@@ -148,7 +142,7 @@ class TestBackward:
         assert loss._parents == () and loss._backward is None
         assert hidden._parents == () and hidden._backward is None
         # a spent tape must not hand back stale or zero grads
-        with pytest.raises(DetachedGraphError):
+        with pytest.raises(ValueError, match="^loss does not depend on any given parameter$"):
             backward(loss, {"x": x})
 
     def test_interior_tensor_is_freed_before_the_op_beneath_it_runs(self):
@@ -265,7 +259,7 @@ class TestLinear:
     ])
     def test_shape_mismatch(self, x_shape, w_shape, b_shape, adj_shape):
         adj = None if adj_shape is None else np.ones(adj_shape)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^linear (adjacency )?\("):
             linear(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)), adj=adj)
 
     def test_backward_makes_no_per_sample_weight_product(self, rng):
@@ -293,9 +287,9 @@ class TestDropout:
         assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
 
     def test_invalid_rate(self):
-        with pytest.raises(InvalidRateError):
+        with pytest.raises(ValueError, match=r"^dropout rate 1\.0$"):
             dropout(t([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
-        with pytest.raises(InvalidRateError):
+        with pytest.raises(ValueError, match=r"^dropout rate -0\.1$"):
             dropout(t([1.0]), -0.1, training=False)
 
     def test_inverted_scaling_preserves_mean(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockcast import cli, market_data, relation_graph
+from stockcast import autodiff, backtest, cli, market_data, relation_graph
 from stockcast.cli import _load_inputs, main
 from stockcast.config import EPOCH_BOUNDS, RunConfig, load_config
 from stockcast.errors import ConfigError
@@ -458,6 +458,17 @@ class TestGraph:
         pairs = [(a, b) for a, b, _, _ in edges]
         assert pairs == sorted(pairs)
 
+    def test_constant_returns_are_a_data_error(self, tmp_path, capsys):
+        # not a MarketDataError, yet a condition of the data all the same
+        panel = random_walk_panel(3, 60, seed=21)
+        panel.close[:, 1] = 50.0
+        data = tmp_path / "data"
+        write_panel_csvs(panel, data)
+        out = tmp_path / "out"
+        assert main(["graph", *base_args(data, out)]) == 3
+        assert capsys.readouterr().err == "data error: constant returns over range: ['S01']\n"
+        assert not out.exists()
+
 
 def backtest_args(data_dir, out):
     return [
@@ -543,7 +554,7 @@ class TestBacktest:
     def test_panel_shorter_than_the_plan_is_a_data_error(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["backtest", *base_args(data_dir, out)]) == 3
-        assert "error: panel has 60 dates, need 554" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("data error: panel has 60 dates, need 554")
         assert not out.exists()
 
     def test_every_step_diverged_is_a_training_error(self, data_dir, tmp_path, capsys):
@@ -556,6 +567,20 @@ class TestBacktest:
         assert code == 4
         assert "training error:" in capsys.readouterr().err
         assert not (out / "per_day_mse.csv").exists()
+
+    def test_program_fault_raises_with_no_exit_code(self, data_dir, tmp_path, monkeypatch,
+                                                    capsys):
+        def broken_train(*args, **kwargs):
+            t = autodiff.Tensor
+            autodiff.linear(t(np.ones((2, 3))), t(np.ones((4, 2))), t(np.zeros(2)))
+
+        # the forked workers of the walk inherit the patch
+        monkeypatch.setattr(backtest, "train", broken_train)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"^linear \(2, 3\) @ \(4, 2\) \+ \(2,\)$"):
+            main(backtest_args(data_dir, out))
+        assert capsys.readouterr().err == ""
+        assert not out.exists()
 
 
 class TestGridsearch:
