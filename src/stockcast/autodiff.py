@@ -18,6 +18,12 @@ under a fixed row-mixing matrix, such as a graph's adjacency or a mean, and a
 ReLU, as one op), concat, reshape, dropout and the MSE loss against an array
 target. The LSTM is one fused op of its own in `models`. Finite difference
 checks of these gradients live with the tests.
+
+Dropout takes a keep-mask drawn beforehand by `dropout_mask`, not a
+generator, and `mse_loss` may divide by the element count of a larger batch.
+Together they let a caller draw a batch's masks once and tape the batch in
+parts: each part reads its slice of the masks, and the parts' weight
+gradients sum to the batch's.
 """
 
 from __future__ import annotations
@@ -214,13 +220,17 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._from_op(data, (x,), bw)
 
 
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over all elements of the squared difference from a fixed target."""
+def mse_loss(pred: Tensor, target: np.ndarray, count: int | None = None) -> Tensor:
+    """Sum of the squared differences from a fixed target over `count`
+    elements: their mean by default, or, with the element count of a whole
+    batch, one part's share of that batch's mean."""
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise ValueError(f"mse_loss {pred.shape} vs {target.shape}")
     diff = pred.data - target
-    n = diff.size
+    n = diff.size if count is None else count
+    if n < diff.size:
+        raise ValueError(f"mse_loss over {n} of {diff.size} elements")
     data = np.asarray((diff * diff).sum() / n)
 
     def bw(g: np.ndarray) -> None:
@@ -229,19 +239,27 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return Tensor._from_op(data, (pred,), bw)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """A bool keep-mask for `dropout`, True with probability 1 - rate, drawn
+    as one `rng.random(shape)`."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate {rate}")
+    return rng.random(shape) >= rate
 
-    Eval mode (training=False) and rate 0 are both the identity.
+
+def dropout(x: Tensor, rate: float, mask: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: zero where the bool `mask` is False and scale the
+    survivors by 1/(1-rate).
+
+    No mask (eval mode, or nothing drawn) and rate 0 are both the identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate}")
-    if not training or rate == 0.0:
+    if mask is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+    if mask.shape != x.shape:
+        raise ValueError(f"dropout mask {mask.shape} on {x.shape}")
     # a bool mask and one rounded scale: x * mask * keep equals x * (mask / (1 - rate))
-    mask = rng.random(x.shape) >= rate
     keep = 1.0 / (1.0 - rate)
     data = x.data * mask * keep
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .autodiff import (
     backward,
     concat,
     dropout,
+    dropout_mask,
     linear,
     mse_loss,
     reshape,
@@ -294,8 +295,7 @@ def lstm_stack(
     x: np.ndarray,
     layer_params: list[tuple[Tensor, Tensor, Tensor]],
     dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    masks: Sequence[np.ndarray] | None = None,
 ) -> Tensor:
     """Stacked LSTM over a (B, L, d) input array as one fused tape op;
     returns the final hidden state (B, H). The input is data: the op's tape
@@ -307,8 +307,10 @@ def lstm_stack(
     are summed and handed over in float64, the parameters' dtype.
 
     Each layer's fused weights hold the (input, forget, output, candidate)
-    gate blocks; hidden and cell states start at zero and inverted dropout
-    masks sit between layers in training mode. Forward and backward work on
+    gate blocks; hidden and cell states start at zero. In training mode
+    inverted dropout sits between layers: `masks` holds one bool (L, H, B)
+    keep-mask per layer but the top one, drawn by the caller; without masks
+    (eval mode) or at rate 0 there is none. Forward and backward work on
     transposed (feature, batch) blocks so every kernel touches contiguous
     memory; this op dominates training time, which is why it is hand-fused
     rather than composed from primitive tape ops.
@@ -316,11 +318,11 @@ def lstm_stack(
     The sequences are independent, so the batch runs through every layer in
     column blocks of at most `_LSTM_BLOCK_BYTES // (12 * itemsize * H)`
     sequences. Each time step makes about a dozen elementwise passes over its
-    blocks; on the whole batch of a full-batch fit (4,400 sequences, 2.3 MB
-    float32 gate blocks at H = 32) every pass would go to memory, on a block
-    it stays in the L2 cache. The dropout masks are drawn for the whole
-    batch, in layer order, before the first block, and the backward sums the
-    weight gradients of all blocks.
+    blocks; on a batch of 4,400 sequences (2.3 MB float32 gate blocks at
+    H = 32) every pass would go to memory, on a block it stays in the L2
+    cache. The backward sums the weight gradients of all blocks. `train`
+    tapes a larger batch in parts of at most one block each, so a training
+    tape holds one block's gates whatever the batch size.
 
     Each block's backward threads one (L, H, n) gradient array down the
     stack, seeded with the loss gradient at the top layer's last step; every
@@ -356,8 +358,9 @@ def lstm_stack(
             )
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate {dropout_rate}")
-    if training and dropout_rate > 0.0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+    if masks is not None and [m.shape for m in masks] != [(length, H, n_batch)] * (n_layers - 1):
+        raise ValueError(f"lstm dropout masks {[m.shape for m in masks]} for {n_layers} layers "
+                         f"of ({length}, {H}, {n_batch})")
 
     dtype = x.dtype
     weights = []  # (4H, d), (4H, H), (4H,) copies with the sigmoid rows halved
@@ -367,10 +370,8 @@ def lstm_stack(
             a[: 3 * H] *= 0.5
         weights.append(copies)
     # bool keep-masks and one rounded scale: h * mask * keep is bitwise
-    # h * (mask / (1 - rate)) in float64
-    masks: list[np.ndarray | None] = [None] * n_layers  # none after the top layer
-    if training and dropout_rate > 0.0:
-        masks[:-1] = [rng.random((length, H, n_batch)) >= dropout_rate for _ in masks[:-1]]
+    # h * (mask / (1 - rate)) in float64; none after the top layer
+    masks = [*masks, None] if masks is not None and dropout_rate > 0.0 else [None] * n_layers
     keep = dtype.type(1.0 / (1.0 - dropout_rate))
     width = _lstm_block_width(dtype, H)
     blocks = []  # (columns, layer-0 input, per-layer gates) of each column block
@@ -509,10 +510,10 @@ def gcn_forward(
     a_hat: np.ndarray,
     params: Mapping[str, Tensor],
     dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Two ReLU graph-convolution layers: relu(A relu(A X W1 + b1) W2 + b2).
+    """Two ReLU graph-convolution layers: relu(A relu(A X W1 + b1) W2 + b2),
+    with dropout under the keep-mask `mask` between them in training mode.
 
     `features` rows are node features; leading batch axes broadcast through.
     """
@@ -521,7 +522,7 @@ def gcn_forward(
     if x.shape[-2] != adj.shape[0]:
         raise ValueError(f"{x.shape[-2]} feature rows vs {adj.shape[0]} graph nodes")
     h = linear(x, params["gcn1.w"], params["gcn1.b"], relu=True, adj=adj)
-    h = dropout(h, dropout_rate, training, rng)
+    h = dropout(h, dropout_rate, mask)
     return linear(h, params["gcn2.w"], params["gcn2.b"], relu=True, adj=adj)
 
 
@@ -534,20 +535,47 @@ def _fusion_head(
     return linear(h, params["head.w"], params["head.b"])
 
 
-def _recurrent_batch(
-    windows: np.ndarray, a_hat, spec: ModelSpec, params, training: bool, rng
-) -> Tensor:
+def _dropout_masks(
+    spec: ModelSpec, shape: tuple[int, int, int], rng: np.random.Generator
+) -> tuple[list[np.ndarray], np.ndarray | None] | None:
+    """The keep-masks of one lstm or hybrid training batch of (B, L, N)
+    windows, drawn in the order the forward applies them: each LSTM layer's
+    but the top one's (L, H, B * N), then the (B, N, gcn_hidden) mask of the
+    hybrid's graph convolution. None for the other kinds, which have no
+    dropout, and at rate 0: neither draws."""
+    rate = spec.train.dropout
+    if rate == 0.0 or spec.kind not in ("hybrid", "lstm"):
+        return None
+    n_batch, length, n_stocks = shape
+    lstm = [dropout_mask(rng, (length, spec.hidden_size, n_batch * n_stocks), rate)
+            for _ in range(spec.lstm_layers - 1)]
+    gcn = None
+    if spec.kind == "hybrid":
+        gcn = dropout_mask(rng, (n_batch, n_stocks, spec.gcn_hidden), rate)
+    return lstm, gcn
+
+
+def _sample_masks(masks, lo: int, hi: int, n_stocks: int):
+    """The part of a batch's `_dropout_masks` that its samples lo:hi read."""
+    if masks is None:
+        return None
+    lstm, gcn = masks
+    return ([m[:, :, lo * n_stocks : hi * n_stocks] for m in lstm],
+            None if gcn is None else gcn[lo:hi])
+
+
+def _recurrent_batch(windows: np.ndarray, a_hat, spec: ModelSpec, params, masks) -> Tensor:
     """lstm and hybrid: per-stock LSTM embeddings (B, N, H), joined in the
-    hybrid by their graph convolution, read by the fusion head."""
+    hybrid by their graph convolution, read by the fusion head. `masks` are
+    the batch's `_dropout_masks`, None for no dropout."""
     n_batch, length, n_stocks = windows.shape
+    lstm_masks, gcn_mask = (None, None) if masks is None else masks
     # one scalar sequence per (sample, stock); the LSTM weights are shared
     seq = np.ascontiguousarray(windows.swapaxes(1, 2)).reshape(n_batch * n_stocks, length, 1)
-    h = lstm_stack(
-        seq, _layer_triples(params, spec.lstm_layers), spec.train.dropout, training, rng
-    )
+    h = lstm_stack(seq, _layer_triples(params, spec.lstm_layers), spec.train.dropout, lstm_masks)
     h = reshape(h, (n_batch, n_stocks, spec.hidden_size))
     if spec.kind == "hybrid":
-        h = concat(h, gcn_forward(h, a_hat, params, spec.train.dropout, training, rng), axis=-1)
+        h = concat(h, gcn_forward(h, a_hat, params, spec.train.dropout, gcn_mask), axis=-1)
     out = _fusion_head(h, params, len(spec.fusion_hidden))
     return reshape(out, (n_batch, n_stocks))
 
@@ -586,14 +614,18 @@ def model_forward(
     params: Mapping[str, Tensor],
     a_hat=None,
     training: bool = False,
-    rng: np.random.Generator | None = None,
+    masks=None,
 ) -> Tensor:
     """Batched dispatch: a (B, L, N) window array -> (B, N) predictions; the
-    windows are data, so no gradient flows into them."""
+    windows are data, so no gradient flows into them. In training mode the
+    lstm and hybrid apply `masks`, the `_dropout_masks` of these windows;
+    the other kinds have no dropout."""
     if spec.kind == "hybrid" and a_hat is None:
         raise ValueError("hybrid model needs a normalized adjacency")
     if spec.kind in ("hybrid", "lstm"):
-        return _recurrent_batch(windows, a_hat, spec, params, training, rng)
+        if training and masks is None and spec.train.dropout > 0.0:
+            raise ValueError("training-mode dropout needs masks")
+        return _recurrent_batch(windows, a_hat, spec, params, masks if training else None)
     if spec.kind == "dense":
         return _dense_batch(windows, spec, params)
     if spec.kind == "cnn1d":
@@ -671,6 +703,19 @@ def train(
     the best-validation snapshot, or the last epoch's without a split.
     Parameters, gradients and Adam are float64; the lstm and hybrid run
     their LSTM kernel on float32 windows.
+
+    An lstm or hybrid batch whose B * N sequences take more than one LSTM
+    column block is taped in parts of whole samples, one block's worth each
+    (102 samples of 10 stocks at H = 32). The batch's dropout masks are
+    drawn once, before its first part, in the order and shapes one tape
+    draws them; each part reads its slice, runs forward, its share of the
+    batch's mean loss and backward, and adds its gradients to the batch's.
+    Adam then steps once per batch. The parts' gradients differ from one
+    tape's by round-off in their sums only. A batch that fits one block is
+    one tape as before, and so is every dense or cnn1d batch. A full-batch
+    hybrid fit's tape thus holds one block's LSTM gates (11.5 MB at N = 10)
+    instead of the whole batch's (50 MB at B = 444).
+
     `seed` draws the initialization, the shuffles and the dropout masks;
     `initial_params` warm-starts from an earlier fit instead of a fresh
     seeded initialization.
@@ -694,6 +739,7 @@ def train(
     n_train = n_samples - n_val
 
     windows = _windows(spec, dataset.inputs)  # cast once, not per batch
+    n_stocks = windows.shape[2]
     train_x, train_y = windows[:n_train], dataset.targets[:n_train]
     val_x = windows[n_train:] if n_val else None
     val_y = dataset.targets[n_train:] if n_val else None
@@ -702,11 +748,14 @@ def train(
     if initial_params is not None:
         params = _as_params({name: p.data for name, p in initial_params.items()})
     else:
-        params = init_params(spec, dataset.inputs.shape[2], dataset.lookback, rng)
+        params = init_params(spec, n_stocks, dataset.lookback, rng)
     adam = AdamState(lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience, cfg.min_delta)
 
     batch = cfg.batch_size or n_train
+    part = n_train  # samples per tape: one LSTM column block's worth for the lstm and hybrid
+    if spec.kind in ("hybrid", "lstm"):
+        part = max(1, _lstm_block_width(train_x.dtype, spec.hidden_size) // n_stocks)
     history: list[tuple[float, float]] = []
     stop = False
 
@@ -718,12 +767,23 @@ def train(
         total = 0.0
         for lo in range(0, n_train, batch):
             idx = order[lo : lo + batch]
-            pred = model_forward(train_x[idx], spec, params, a_hat, training=True, rng=rng)
-            loss = mse_loss(pred, train_y[idx])
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise DivergedLossError(f"epoch {epoch}: training loss {value}")
-            grads = backward(loss, params)
+            masks = _dropout_masks(spec, (len(idx), *train_x.shape[1:]), rng)
+            value, grads = 0.0, None
+            for at in range(0, len(idx), part):
+                rows = idx[at : at + part]
+                pred = model_forward(train_x[rows], spec, params, a_hat, training=True,
+                                     masks=_sample_masks(masks, at, at + len(rows), n_stocks))
+                # each part's share of the batch's mean, so the gradients sum to the batch's
+                loss = mse_loss(pred, train_y[rows], count=len(idx) * n_stocks)
+                value += float(loss.data)
+                if not math.isfinite(value):
+                    raise DivergedLossError(f"epoch {epoch}: training loss {value}")
+                part_grads = backward(loss, params)
+                if grads is None:
+                    grads = part_grads
+                else:
+                    for name, g in part_grads.items():
+                        grads[name] += g
             adam_step(params, grads, adam)
             total += value * len(idx)
         train_mse = total / n_train

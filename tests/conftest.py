@@ -1,5 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
 from datetime import date, timedelta
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 import pytest
@@ -114,6 +116,17 @@ def coordinate_errors(
         gmax = np.abs(analytic).max()
         errors[name] = float(np.abs(numeric - analytic).max() / (gmax if gmax > 0 else 1.0))
     return errors
+
+
+@contextmanager
+def traced_memory() -> Iterator[Callable[[], tuple[int, int]]]:
+    """Traces allocations inside the block, numpy's buffers included; yields
+    a function that returns the (current, peak) bytes traced so far."""
+    tracemalloc.start()
+    try:
+        yield tracemalloc.get_traced_memory
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,13 +8,14 @@ from stockcast.autodiff import (
     backward,
     concat,
     dropout,
+    dropout_mask,
     linear,
     mse_loss,
     reshape,
     topo_order,
 )
 
-from conftest import coordinate_errors, gradient_check
+from conftest import coordinate_errors, gradient_check, traced_memory
 
 
 def t(data, grad=False):
@@ -86,6 +86,25 @@ class TestMseLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"^mse_loss \(2,\) vs \(1,\)$"):
             mse_loss(t([1.0, 2.0]), np.array([1.0]))
+
+    def test_parts_over_the_batch_count_sum_to_the_batch(self, rng):
+        # two parts of a batch, each over the batch's element count: their
+        # losses and gradients sum to the whole batch's mean and its gradient
+        pred, target = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        whole = t(pred, grad=True)
+        loss = mse_loss(whole, target)
+        backward(loss)
+        parts = [t(pred[rows], grad=True) for rows in (slice(0, 2), slice(2, 5))]
+        losses = [mse_loss(part, target[rows], count=pred.size)
+                  for part, rows in zip(parts, (slice(0, 2), slice(2, 5)))]
+        for part_loss in losses:
+            backward(part_loss)
+        assert sum(part.item() for part in losses) == pytest.approx(loss.item(), rel=1e-15)
+        assert np.array_equal(np.concatenate([part.grad for part in parts]), whole.grad)
+
+    def test_count_below_the_element_count(self):
+        with pytest.raises(ValueError, match=r"^mse_loss over 1 of 2 elements$"):
+            mse_loss(t([1.0, 2.0]), np.zeros(2), count=1)
 
     def test_nonnegative_and_zero_iff_equal(self, rng):
         for _ in range(20):
@@ -205,8 +224,8 @@ class TestBackward:
         def run():
             x = Tensor(x_data.copy(), requires_grad=True)
             gen = np.random.Generator(np.random.PCG64(7))
-            y = dropout(linear(x, x, Tensor(np.zeros(4)), relu=True), 0.5, training=True,
-                        rng=gen)
+            y = dropout(linear(x, x, Tensor(np.zeros(4)), relu=True), 0.5,
+                        dropout_mask(gen, (4, 4), 0.5))
             loss = mse_loss(y, np.zeros((4, 4)))
             backward(loss)
             return loss.item(), x.grad.copy()
@@ -268,35 +287,48 @@ class TestLinear:
         x = t(rng.normal(size=(n_batch, m, k)), grad=True)
         w, b = t(rng.normal(size=(k, n)), grad=True), t(rng.normal(size=n), grad=True)
         loss = mse_loss(linear(x, w, b, relu=True), np.zeros((n_batch, m, n)))
-        tracemalloc.start()
-        try:
+        with traced_memory() as traced:
             backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            peak = traced()[1]
         assert peak < n_batch * k * n * np.dtype(np.float64).itemsize, peak
 
 
 class TestDropout:
     def test_eval_mode_identity(self):
+        # eval mode passes no mask
         x = t(np.ones((3, 3)))
-        assert dropout(x, 0.9, training=False) is x
+        assert dropout(x, 0.9) is x
 
     def test_rate_zero_identity(self):
+        # rate 0 ignores a mask it is given
         x = t(np.ones((3, 3)))
-        assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        assert dropout(x, 0.0, np.zeros(x.shape, dtype=bool)) is x
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError, match=r"^dropout rate 1\.0$"):
-            dropout(t([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
+            dropout(t([1.0]), 1.0, np.ones(1, dtype=bool))
         with pytest.raises(ValueError, match=r"^dropout rate -0\.1$"):
-            dropout(t([1.0]), -0.1, training=False)
+            dropout(t([1.0]), -0.1)
+        with pytest.raises(ValueError, match=r"^dropout rate 1\.0$"):
+            dropout_mask(np.random.default_rng(0), (1,), 1.0)
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match=r"^dropout mask \(2,\) on \(1,\)$"):
+            dropout(t([1.0]), 0.5, np.ones(2, dtype=bool))
+
+    def test_mask_is_one_draw_of_the_shape(self):
+        # one rng.random(shape) >= rate: the stream moves on by exactly that draw
+        gen, ref = (np.random.Generator(np.random.PCG64(9)) for _ in range(2))
+        mask = dropout_mask(gen, (4, 5), 0.3)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, ref.random((4, 5)) >= 0.3)
+        assert gen.random() == ref.random()
 
     def test_inverted_scaling_preserves_mean(self):
         n = 100_000
         x = t(np.ones(n))
         gen = np.random.Generator(np.random.PCG64(42))
-        out = dropout(x, 0.5, training=True, rng=gen).data
+        out = dropout(x, 0.5, dropout_mask(gen, x.shape, 0.5)).data
         # survivors are scaled by 2, so the mean stays 1 up to sampling noise
         standard_error = 1.0 / np.sqrt(n)  # std of mask*2 is 1 at rate 0.5
         assert abs(out.mean() - 1.0) < 3 * standard_error
@@ -305,7 +337,7 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         x = t(np.ones(1000), grad=True)
         gen = np.random.Generator(np.random.PCG64(3))
-        out = dropout(x, 0.5, training=True, rng=gen)
+        out = dropout(x, 0.5, dropout_mask(gen, x.shape, 0.5))
         total = linear(reshape(out, (1, 1000)), t(np.ones((1000, 1))), t([0.0]))  # the sum
         backward(reshape(total, ()))
         # zeroed outputs must have zero gradient, survivors 1/(1-rate)
@@ -320,7 +352,7 @@ class TestDropout:
         x = t(rng.normal(size=(50, 40)), grad=True)
         target = rng.normal(size=(50, 40))
         old_mask = (np.random.Generator(np.random.PCG64(5)).random(x.shape) >= rate) / (1.0 - rate)
-        out = dropout(x, rate, training=True, rng=np.random.Generator(np.random.PCG64(5)))
+        out = dropout(x, rate, dropout_mask(np.random.Generator(np.random.PCG64(5)), x.shape, rate))
         assert np.array_equal(out.data, x.data * old_mask)
         backward(mse_loss(out, target))
         upstream = (2.0 / out.data.size) * np.ones(()) * (x.data * old_mask - target)

@@ -4,7 +4,6 @@ import errno
 import json
 import re
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from stockcast.models import MODEL_KINDS, ModelSpec, TrainConfig
 from stockcast.relation_graph import GraphConfig
 from stockcast.synthetic import lead_lag_panel
 
-from conftest import random_walk_panel
+from conftest import random_walk_panel, traced_memory
 
 
 def write_panel_csvs(panel, directory: Path) -> None:
@@ -340,12 +339,9 @@ class TestIngest:
         cfg = load_config(None, {"data_dir": str(data), "tickers": panel.tickers})
 
         def traced_peak(run) -> int:
-            tracemalloc.start()
-            try:
+            with traced_memory() as traced:
                 run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+                return traced()[1]
 
         assert main(argv) == 0  # first-call costs outside the measurement
         load = traced_peak(lambda: _load_inputs(cfg))

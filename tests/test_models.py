@@ -1,14 +1,14 @@
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from stockcast.autodiff import Tensor, backward, mse_loss, topo_order
+from stockcast.autodiff import Tensor, backward, dropout_mask, mse_loss, topo_order
 from stockcast.errors import DivergedLossError, EmptyDatasetError
 from stockcast import models
-from stockcast.market_data import WindowDataset
+from stockcast.backtest import expanding_schedule
+from stockcast.market_data import WindowDataset, daily_returns, fit_scaler, make_windows, scale
 from stockcast.models import (
     EarlyStopper,
     ModelSpec,
@@ -21,8 +21,10 @@ from stockcast.models import (
     predict,
     train,
 )
+from stockcast.relation_graph import GraphConfig, build_graph, normalized_adjacency
+from stockcast.synthetic import lead_lag_panel
 
-from conftest import coordinate_errors, gradient_check, weekdays
+from conftest import coordinate_errors, gradient_check, traced_memory, weekdays
 
 
 def tiny_config(**kw):
@@ -59,6 +61,18 @@ def lstm_last_hidden(seq, params, layers, **kwargs):
     triples = [(params[f"lstm{k}.wx"], params[f"lstm{k}.wh"], params[f"lstm{k}.b"])
                for k in range(layers)]
     return lstm_stack(seq[None], triples, **kwargs)
+
+
+def keep_masks(x, layer_params, rate, gen=None):
+    """Dropout keep-masks of a stack of `layer_params` over the (B, L, d)
+    input `x`, as `train` draws them: one (L, H, B) mask per layer but the
+    top one, from `gen` or else a fresh generator seeded 7. None at rate 0."""
+    if rate == 0.0:
+        return None
+    gen = np.random.Generator(np.random.PCG64(7)) if gen is None else gen
+    n_batch, length, _ = x.shape
+    hidden = layer_params[0][1].shape[0]
+    return [dropout_mask(gen, (length, hidden, n_batch), rate) for _ in layer_params[1:]]
 
 
 def forward_one(spec, params, window, a_hat=None):
@@ -126,9 +140,9 @@ class TestLstm:
 
         def build(p, training=True):
             triples = [(p[f"lstm{k}.wx"], p[f"lstm{k}.wh"], p[f"lstm{k}.b"]) for k in range(2)]
-            # reseeded on every call, so each evaluation draws the same masks
-            masks = np.random.Generator(np.random.PCG64(7))
-            h = lstm_stack(x, triples, dropout_rate=0.5, training=training, rng=masks)
+            # drawn from a fresh generator on every call, so each evaluation has the same masks
+            masks = keep_masks(x, triples, 0.5) if training else None
+            h = lstm_stack(x, triples, dropout_rate=0.5, masks=masks)
             return mse_loss(h, target)
 
         assert build(params).item() != build(params, training=False).item()
@@ -152,19 +166,26 @@ class TestLstm:
         # 1.5 would draw all-false masks with a scale of -2, 1.0 divide by
         # zero, -0.1 keep every unit and scale it by 1 / 1.1
         triples = two_layer_triples(init_params(tiny_spec("lstm"), 1, 4, rng))
-        for training in (True, False):
+        for masks in ([np.ones((3, 4, 2), dtype=bool)], None):
             with pytest.raises(ValueError, match=rf"^dropout rate {rate}$"):
-                lstm_stack(np.zeros((2, 3, 1)), triples, rate, training, np.random.default_rng(0))
+                lstm_stack(np.zeros((2, 3, 1)), triples, rate, masks)
+
+    def test_mask_shapes_are_checked(self, rng):
+        # one (L, H, B) mask per layer but the top one
+        triples = two_layer_triples(init_params(tiny_spec("lstm"), 1, 4, rng))
+        for masks in ([], [np.ones((3, 4, 5), dtype=bool)]):
+            with pytest.raises(ValueError, match=r"^lstm dropout masks .* for 2 layers of "
+                                                 r"\(3, 4, 2\)$"):
+                lstm_stack(np.zeros((2, 3, 1)), triples, 0.5, masks)
 
     def test_dropout_between_layers_changes_training_output(self, rng):
         spec = tiny_spec("lstm")
         params = init_params(spec, 1, 4, rng)
         seq = rng.uniform(0, 1, (6, 1))
-        eval_out = lstm_last_hidden(seq, params, layers=2, dropout_rate=0.5, training=False)
-        train_out = lstm_last_hidden(
-            seq, params, layers=2, dropout_rate=0.5, training=True,
-            rng=np.random.Generator(np.random.PCG64(0)),
-        )
+        eval_out = lstm_last_hidden(seq, params, layers=2, dropout_rate=0.5)
+        masks = keep_masks(seq[None], two_layer_triples(params), 0.5,
+                           np.random.Generator(np.random.PCG64(0)))
+        train_out = lstm_last_hidden(seq, params, layers=2, dropout_rate=0.5, masks=masks)
         assert not np.allclose(eval_out.data, train_out.data)
 
 
@@ -203,9 +224,10 @@ class TestLstmColumnBlocks:
         hidden = params["lstm0.wh"].shape[0]
         # the block budget holds 12 rows of `hidden` per column, in the input's dtype
         monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES", width * 12 * x.itemsize * hidden)
-        masks = np.random.Generator(np.random.PCG64(7))
-        h = lstm_stack(x, two_layer_triples(params), dropout_rate, dropout_rate > 0, masks)
-        return mse_loss(h, target), masks
+        gen = np.random.Generator(np.random.PCG64(7))
+        triples = two_layer_triples(params)
+        h = lstm_stack(x, triples, dropout_rate, keep_masks(x, triples, dropout_rate, gen))
+        return mse_loss(h, target), gen
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_any_split_matches_one_block(self, monkeypatch, rng, d):
@@ -245,9 +267,9 @@ class TestLstmColumnBlocks:
         assert err < 1e-4
 
 
-def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, rng=None):
+def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, masks=None):
     """lstm_stack as it was before it followed its input's dtype: float64 work
-    arrays and float dropout masks (r >= rate) / (1 - rate), in column blocks of
+    arrays and float dropout masks mask / (1 - rate), in column blocks of
     `_LSTM_BLOCK_BYTES // (96 * H)`. The bitwise reference for float64 calls."""
     n_batch, length, _ = x.shape
     n_layers = len(layer_params)
@@ -257,10 +279,10 @@ def float64_only_lstm_stack(x, layer_params, dropout_rate=0.0, training=False, r
         (np.ascontiguousarray(wx.data.T), np.ascontiguousarray(wh.data.T), b.data[:, None])
         for wx, wh, b in layer_params
     ]  # (4H, d), (4H, H), (4H, 1)
-    masks: list[np.ndarray | None] = [None] * (n_layers - 1)
-    if training and dropout_rate > 0.0:
-        masks = [(rng.random((length, H, n_batch)) >= dropout_rate) / (1.0 - dropout_rate)
-                 for _ in masks]
+    if masks is not None and dropout_rate > 0.0:
+        masks = [m / (1.0 - dropout_rate) for m in masks]
+    else:
+        masks = [None] * (n_layers - 1)
     width = max(1, models._LSTM_BLOCK_BYTES // (96 * H))
     blocks = []  # (columns, per-layer caches) of each column block
     h_last = np.empty((n_batch, H))
@@ -374,8 +396,8 @@ class TestLstmDtype:
     def run(self, kernel, x, params, target, rate):
         """The kernel's output and the loss gradients of the weights, with
         masks from a freshly seeded generator."""
-        h = kernel(x, two_layer_triples(params), rate, rate > 0,
-                   np.random.Generator(np.random.PCG64(7)))
+        triples = two_layer_triples(params)
+        h = kernel(x, triples, rate, keep_masks(x, triples, rate))
         out = h.data.copy()
         grads = {k: g.copy() for k, g in backward(mse_loss(h, target), params).items()}
         return out, grads
@@ -416,9 +438,9 @@ class TestLstmDtype:
         real = models.lstm_stack
         calls = []
 
-        def spy(x, layer_params, dropout_rate=0.0, training=False, rng=None):
-            calls.append((training, x.dtype))
-            return real(x, layer_params, dropout_rate, training, rng)
+        def spy(x, layer_params, dropout_rate=0.0, masks=None):
+            calls.append((masks is not None, x.dtype))
+            return real(x, layer_params, dropout_rate, masks)
 
         monkeypatch.setattr(models, "lstm_stack", spy)
         spec = tiny_spec(kind, train=tiny_config(epochs=3, patience=10, dropout=0.3))
@@ -426,7 +448,8 @@ class TestLstmDtype:
         a_hat = edgeless_adjacency(3)
         result = train(spec, ds, a_hat)
         pred = predict(spec, result.params, ds.inputs[-1], a_hat)
-        # 3 epochs of one training batch and one validation forward, then predict
+        # 3 epochs of one training batch, with masks, and one validation
+        # forward, then predict
         assert calls == [(True, np.float32), (False, np.float32)] * 3 + [(False, np.float32)]
         assert pred.dtype == np.float64
         assert all(p.data.dtype == np.float64 for p in result.params.values())
@@ -458,17 +481,16 @@ class TestLstmTape:
         n_batch, length, hidden = 1100, 11, 32
         params = init_params(tiny_spec("lstm", hidden_size=hidden), 1, length, rng)
         x = rng.uniform(0.0, 1.0, size=(n_batch, length, 1)).astype(np.float32)
-        masks = np.random.Generator(np.random.PCG64(7))
+        triples = two_layer_triples(params)
+        masks = keep_masks(x, triples, 0.5)
         # what the output holds is what dropping it frees; tracemalloc sees
-        # numpy's buffers, and the reused work arrays stay allocated
-        tracemalloc.start()
-        try:
-            h = lstm_stack(x, two_layer_triples(params), 0.5, True, masks)
-            held = tracemalloc.get_traced_memory()[0]
+        # numpy's buffers, and the reused work arrays and the caller's masks
+        # stay allocated
+        with traced_memory() as traced:
+            h = lstm_stack(x, triples, 0.5, masks)
+            held = traced()[0]
             del h
-            held -= tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+            held -= traced()[0]
         # gates (4H) per step, layer and sequence
         budget = 2 * length * 4 * hidden * n_batch * np.dtype(np.float32).itemsize
         assert budget <= held <= 1.1 * budget, held / budget
@@ -487,8 +509,8 @@ class TestLstmTape:
         other = rng.normal(size=(21, 5, 3))
 
         def grads_of_a(between=None):
-            h = lstm_stack(x, two_layer_triples(params), 0.5, True,
-                           np.random.Generator(np.random.PCG64(7)))
+            triples = two_layer_triples(params)
+            h = lstm_stack(x, triples, 0.5, keep_masks(x, triples, 0.5))
             if between is not None:
                 between()
             return {k: g.copy() for k, g in backward(mse_loss(h, target), params).items()}
@@ -508,9 +530,8 @@ class TestLstmTape:
             params, x, target = two_layer_case(rng, 37, d=3, layers=layers)
 
             def loss(p) -> Tensor:
-                h = lstm_stack(x, two_layer_triples(p), 0.5, True,
-                               np.random.Generator(np.random.PCG64(7)))
-                return mse_loss(h, target)
+                triples = two_layer_triples(p)
+                return mse_loss(lstm_stack(x, triples, 0.5, keep_masks(x, triples, 0.5)), target)
 
             for name, err in coordinate_errors(loss, params).items():
                 assert err < 1e-4, (layers, name, err)
@@ -636,6 +657,13 @@ class TestHybrid:
         permuted_a_hat = a_hat[np.ix_(perm, perm)]
         out = forward_one(spec, params, permuted_window, permuted_a_hat).data[0]
         assert np.max(np.abs(out - base[perm])) < 1e-12
+
+    def test_training_dropout_needs_masks(self, rng):
+        spec = tiny_spec("hybrid", train=tiny_config(dropout=0.5))
+        params = init_params(spec, 3, 4, rng)
+        window = rng.uniform(0.1, 0.9, (1, 4, 3))
+        with pytest.raises(ValueError, match="^training-mode dropout needs masks$"):
+            model_forward(window, spec, params, edgeless_adjacency(3), training=True)
 
     def test_gradients_match_finite_differences(self, rng):
         n = 3
@@ -923,3 +951,92 @@ class TestTrain:
         # without a validation split every epoch counts as an improvement
         assert result.best_epoch == 80 and not result.stopped_early
 
+
+
+class TestChunkedFit:
+    """An lstm or hybrid batch whose sequences take more than one LSTM column
+    block is taped in parts of whole samples, one block's worth each, with
+    the batch's masks drawn once; Adam steps once per batch."""
+
+    def fit(self, monkeypatch, kind, width, epochs, dtype=np.float32):
+        """A full-batch fit of 10 training samples of 3 stocks (30 sequences)
+        with `_LSTM_BLOCK_BYTES` set to `width` sequences of `dtype` windows.
+        Returns the result, the sample count of each training forward, the
+        gradients handed to each Adam step and the generator's state after
+        the fit."""
+        monkeypatch.undo()  # spy on the real functions, not on an earlier fit's spies
+        spec = tiny_spec(kind, train=tiny_config(epochs=epochs, patience=epochs, dropout=0.5))
+        ds = make_dataset(np.random.Generator(np.random.PCG64(4)), n_samples=12)
+        monkeypatch.setattr(models, "_LSTM_BLOCK_BYTES",
+                            width * 12 * np.dtype(dtype).itemsize * spec.hidden_size)
+        monkeypatch.setattr(models, "_windows", lambda spec, inputs: inputs.astype(dtype))
+        forwards, steps, rngs = [], [], []
+        real_forward, real_adam, real_masks = models.model_forward, models.adam_step, \
+            models._dropout_masks
+
+        def forward_spy(windows, *args, training=False, **kwargs):
+            if training:
+                forwards.append(len(windows))
+            return real_forward(windows, *args, training=training, **kwargs)
+
+        def adam_spy(params, grads, state):
+            steps.append({name: g.copy() for name, g in grads.items()})
+            real_adam(params, grads, state)
+
+        def masks_spy(spec, shape, rng):
+            rngs.append(rng)
+            return real_masks(spec, shape, rng)
+
+        monkeypatch.setattr(models, "model_forward", forward_spy)
+        monkeypatch.setattr(models, "adam_step", adam_spy)
+        monkeypatch.setattr(models, "_dropout_masks", masks_spy)
+        result = train(spec, ds, edgeless_adjacency(3), seed=3)
+        return result, forwards, steps, rngs[-1].bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["lstm", "hybrid"])
+    def test_parts_draw_the_masks_of_one_tape(self, monkeypatch, kind):
+        # blocks of 10 sequences hold 3 samples: parts of 3, 3, 3 and 1
+        one, one_forwards, _, one_state = self.fit(monkeypatch, kind, 2**20, epochs=3)
+        parts, part_forwards, steps, part_state = self.fit(monkeypatch, kind, 10, epochs=3)
+        assert one_forwards == [10] * 3 and part_forwards == [3, 3, 3, 1] * 3
+        assert len(steps) == 3  # one Adam step per batch
+        # the same draws, so the stream after the fit is the same
+        assert part_state == one_state
+        for (loss_p, val_p), (loss_o, val_o) in zip(parts.history, one.history):
+            assert loss_p == pytest.approx(loss_o, rel=1e-6)
+            assert val_p == pytest.approx(val_o, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ["lstm", "hybrid"])
+    def test_summed_gradients_match_one_tape(self, monkeypatch, kind):
+        # float64 windows: the parts' gradients differ from one tape's only
+        # in the order of their sums
+        _, _, (one,), _ = self.fit(monkeypatch, kind, 2**20, epochs=1, dtype=np.float64)
+        _, forwards, (parts,), _ = self.fit(monkeypatch, kind, 10, epochs=1, dtype=np.float64)
+        assert forwards == [3, 3, 3, 1]
+        assert parts.keys() == one.keys()
+        for name, g in one.items():
+            assert np.abs(parts[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+    @pytest.mark.parametrize("kind", ["dense", "cnn1d"])
+    def test_other_kinds_keep_one_tape(self, monkeypatch, kind):
+        one, one_forwards, _, _ = self.fit(monkeypatch, kind, 2**20, epochs=2, dtype=np.float64)
+        small, forwards, _, _ = self.fit(monkeypatch, kind, 1, epochs=2, dtype=np.float64)
+        assert forwards == one_forwards == [10, 10]
+        assert small.history == one.history
+
+    def test_fit_memory_holds_one_block_of_gates(self):
+        # 2 epochs of the default hybrid on step 0 of the default plan: 444
+        # samples of 10 stocks, 4,440 sequences. One tape of the whole batch
+        # held 68 MiB at the peak, its LSTM gates alone 50 MB; taped a block
+        # of 1,020 sequences at a time the fit peaks at 24 MiB
+        panel = lead_lag_panel(554, 1)
+        step = expanding_schedule(panel.dates, 504, 50).steps[0]
+        train_panel = panel.window(step.train_start, step.train_end)
+        windows = make_windows(scale(fit_scaler(train_panel), train_panel),
+                               train_panel.dates, 11)
+        a_hat = normalized_adjacency(build_graph(daily_returns(train_panel), GraphConfig()))
+        spec = ModelSpec("hybrid", train=TrainConfig(epochs=2, patience=2))
+        with traced_memory() as traced:
+            train(spec, windows, a_hat, seed=1)
+            peak = traced()[1]
+        assert peak < 32 * 2**20, peak / 2**20
