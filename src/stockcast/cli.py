@@ -26,7 +26,7 @@ import contextlib
 import csv
 import sys
 from datetime import date
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,6 +54,8 @@ EXIT_TRAIN = 4
 
 MA_SHORT = 50
 MA_LONG = 200
+
+_BATCH_ROWS = 1024  # CSV lines joined into one write
 
 # what a command returns: {file name: (header, rows)} and its manifest extras;
 # the rows are an iterable that is consumed once, by the write
@@ -163,8 +165,9 @@ def cmd_backtest(cfg: RunConfig) -> Outputs:
             raise report.failed[0].error
 
     return {
-        "per_day_mse.csv": (("date", "mse"),
-                            [(day.isoformat(), _fmt(value)) for day, value in reports[0].per_day]),
+        "per_day_mse.csv": (("date", "model", "mse"),
+                            [(day.isoformat(), r.kind, _fmt(value))
+                             for r in reports for day, value in r.per_day]),
         "per_stock_mse.csv": (("ticker", "model", "mse"),
                               [(ticker, r.kind, _fmt(value))
                                for r in reports for ticker, value in r.per_stock]),
@@ -280,6 +283,32 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+def _write_table(fh, rows: Iterable[Sequence]) -> None:
+    """Write `rows` to `fh` byte for byte as csv.writer(fh, lineterminator="\\n")
+    does, consuming them once. A row of strs that need no quotes is its
+    fields joined by commas; any other row goes through csv.writer. Lines
+    are written _BATCH_ROWS at a time, so no table is held whole."""
+    writer = csv.writer(fh, lineterminator="\n")
+    batch: list[str] = []
+    for row in rows:
+        try:
+            line = ",".join(row)
+        except TypeError:  # a field that is not a str
+            line = ""
+        if (not line  # csv.writer writes the row ("",) as '""'
+                or line.count(",") != len(row) - 1
+                or '"' in line or "\r" in line or "\n" in line):
+            fh.write("".join(batch))
+            batch.clear()
+            writer.writerow(row)
+        else:
+            batch.append(line + "\n")
+            if len(batch) == _BATCH_ROWS:
+                fh.write("".join(batch))
+                batch.clear()
+    fh.write("".join(batch))
+
+
 def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
     """Create `out_dir`, run the command, and write its outputs into the
     directory once it has succeeded; returns the exit code. If a file
@@ -306,9 +335,7 @@ def _run(command: str, cfg: RunConfig, out_dir: Path) -> int:
         for name, (header, rows) in tables.items():
             with open(out_dir / name, "w", newline="") as fh:
                 written.append(out_dir / name)
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+                _write_table(fh, chain((header,), rows))
         name = "run_manifest.txt"
         with open(out_dir / name, "w") as fh:
             written.append(out_dir / name)

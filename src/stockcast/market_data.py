@@ -8,6 +8,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -96,11 +97,12 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
     """Parse one ticker's CSV export into a validated, date-sorted series.
 
     The header must be exactly ``date,open,high,low,close,adj_close,volume``;
-    dates are ISO-8601, numbers use a period decimal separator. Bytes are
-    decoded as UTF-8 with an optional byte-order mark, and bytes that are not
-    UTF-8 (a UTF-16 export, say) are a MalformedRowError; blank lines are
-    skipped. The checks run over the whole file at once; when one fails, the
-    first faulty row in file order is reported.
+    dates are ISO-8601, and each number is read by ``float()``. Fields may be
+    double-quoted, and LF, CRLF and CR all end a line. Bytes are decoded as
+    UTF-8 with an optional byte-order mark, and bytes that are not UTF-8 (a
+    UTF-16 export, say) are a MalformedRowError; blank lines are skipped. The
+    checks run over each column at once; when one fails, the first faulty
+    row in file order is reported.
     """
     if isinstance(content, bytes):
         try:
@@ -109,28 +111,38 @@ def parse_ohlcv_csv(content: bytes | str, ticker: str) -> RawSeries:
             raise MalformedRowError(
                 f"{ticker}: not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
-    reader = csv.reader(io.StringIO(content))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRowError(f"{ticker}: empty file") from None
+    if '"' in content:  # a quoted field is the one thing str.split cannot read
+        try:
+            rows = list(csv.reader(io.StringIO(content, newline="")))
+        except csv.Error as exc:  # a stray quote can open a field that runs on
+            raise MalformedRowError(f"{ticker}: {exc}") from None
+    else:  # the rows csv.reader gives, from str methods
+        if "\r" in content:
+            content = content.replace("\r\n", "\n").replace("\r", "\n")
+        lines = content.split("\n")
+        if not lines[-1]:
+            lines.pop()  # what follows the last line end
+        rows = [line.split(",") if line else [] for line in lines]
+    if not rows:
+        raise MalformedRowError(f"{ticker}: empty file")
+    header, records = rows[0], rows[1:]
     if tuple(h.strip() for h in header) != OHLCV_COLUMNS:
         raise MalformedRowError(
             f"{ticker}: bad header {header!r}, expected {','.join(OHLCV_COLUMNS)}"
         )
 
-    records = list(reader)
     linenos: Sequence[int] = range(2, len(records) + 2)
     if not all(records):  # blank lines keep their place in the line count
         linenos = [n for n, fields in zip(linenos, records) if fields]
         records = [fields for fields in records if fields]
-    if any(len(fields) != len(OHLCV_COLUMNS) for fields in records):
+    if not set(map(len, records)) <= {len(OHLCV_COLUMNS)}:
         _raise_first_fault(ticker, records, linenos)
+    fields = list(chain.from_iterable(records))
     try:
-        days = [date.fromisoformat(fields[0].strip()) for fields in records]
-        # numpy converts each string with float(), so values and accepted
-        # spellings are those of the row checks
-        table = np.array([fields[1:] for fields in records], dtype=np.float64)
+        days = list(map(date.fromisoformat, map(str.strip, fields[:: len(OHLCV_COLUMNS)])))
+        del fields[:: len(OHLCV_COLUMNS)]
+        # float() defines the accepted spellings, as in the row checks
+        table = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
         _raise_first_fault(ticker, records, linenos)
     table = table.reshape(len(records), len(OHLCV_COLUMNS) - 1)
@@ -185,6 +197,11 @@ def align_panel(series: Iterable[RawSeries]) -> PricePanel:
     tickers = [s.ticker for s in series]
     if len(set(tickers)) != len(tickers):
         raise ValueError(f"duplicate tickers: {tickers}")
+
+    if series[0].dates and all(s.dates == series[0].dates for s in series[1:]):
+        # one shared calendar, ascending like every series'
+        close = np.stack([s.rows[:, _CLOSE_COL] for s in series], axis=1)
+        return PricePanel(tickers=tickers, dates=list(series[0].dates), close=close)
 
     common: set[date] = set(series[0].dates)
     for s in series[1:]:

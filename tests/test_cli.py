@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import errno
+import hashlib
+import io
 import json
 import re
 import sys
@@ -357,6 +359,15 @@ class TestIngest:
         assert capsys.readouterr().err.startswith("data error: S01: not UTF-8 text")
         assert not out.exists()
 
+    def test_cr_line_ends_ingest_as_lf(self, data_dir, tmp_path):
+        # a classic-Mac export ends its lines with CR alone
+        assert main(["ingest", *base_args(data_dir, tmp_path / "lf", tickers="S00,S01")]) == 0
+        path = data_dir / "S01.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert main(["ingest", *base_args(data_dir, tmp_path / "cr", tickers="S00,S01")]) == 0
+        for name in ("panel_summary.csv", "ma_prices.csv"):
+            assert (tmp_path / "cr" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes()
+
     def test_unreadable_file_is_a_data_error(self, data_dir, tmp_path, capsys, monkeypatch):
         def refuse(self):
             raise PermissionError(errno.EACCES, "Permission denied", str(self))
@@ -482,8 +493,9 @@ class TestBacktest:
         out = tmp_path / "out"
         assert main(backtest_args(data_dir, out)) == 0
         per_day = read_csv(out / "per_day_mse.csv")
-        assert per_day[0] == ["date", "mse"]
+        assert per_day[0] == ["date", "model", "mse"]
         assert len(per_day) == 6
+        assert {row[1] for row in per_day[1:]} == {"linreg"}
         per_stock = read_csv(out / "per_stock_mse.csv")
         assert per_stock[0] == ["ticker", "model", "mse"]
         assert len(per_stock) == 4
@@ -525,6 +537,12 @@ class TestBacktest:
         assert [row[0] for row in comparison[1:]] == ["linreg", "dense"]
         per_stock = read_csv(out / "per_stock_mse.csv")
         assert len(per_stock) == 1 + 3 * 2
+        # one row per (date, model): models as configured, then dates ascending
+        per_day = read_csv(out / "per_day_mse.csv")[1:]
+        assert [row[1] for row in per_day] == ["linreg"] * 5 + ["dense"] * 5
+        days = [row[0] for row in per_day[:5]]
+        assert days == sorted(days) and [row[0] for row in per_day[5:]] == days
+        assert len(set(days)) == 5
 
     def short_hybrid_args(self, tmp_path, test_count):
         # step 0's 3-day window leaves 2 return days, too few for the graph
@@ -644,6 +662,72 @@ class TestGridsearch:
                      "--set", "nope=1"])
         assert code == 2
         assert "nope" in capsys.readouterr().err
+
+
+class TestWriteTable:
+    # rows csv.writer must quote, empty rows and fields, and fields that are
+    # not strs, around plain rows
+    ODD_ROWS = [
+        ("a,b", "c"),
+        ('say "hi"', "x"),
+        ("line\nbreak", "y"),
+        ("cr\rhere", "z"),
+        ("",),
+        (),
+        ("", ""),
+        (",",),
+        ("tab\there", "\u00fcnicode", " padded "),
+        (1, 2.5, 0.1, -3, None, True, np.float64(0.25)),
+        ("0.005", 11, 10, "", 1, "failed",
+         "linreg needs more than lookback + 1 = 2 samples, got 2"),
+    ]
+
+    @staticmethod
+    def written(rows) -> str:
+        fh = io.StringIO()
+        cli._write_table(fh, iter(rows))
+        return fh.getvalue()
+
+    def test_matches_csv_writer(self):
+        plain = [(str(i), "S00", repr(i / 7), "") for i in range(2 * cli._BATCH_ROWS + 5)]
+        rows = [*self.ODD_ROWS, *plain[:cli._BATCH_ROWS], *self.ODD_ROWS,
+                *plain[cli._BATCH_ROWS:], *self.ODD_ROWS[::-1]]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert self.written(rows) == expected.getvalue()
+
+    def test_grid_reason_with_a_comma_round_trips(self):
+        row = ("0.005", 11, 10, "", 1, "failed",
+               "linreg needs more than lookback + 1 = 2 samples, got 2")
+        assert list(csv.reader(io.StringIO(self.written([row])))) == [list(map(str, row))]
+
+
+class TestGoldenTables:
+    # sha256 of each table `ingest` and `graph` write for a fixed export, as
+    # csv.reader parsing and csv.writer writing made them; run_manifest.txt
+    # is left out, since it lists every config key and the paths of the run
+    DIGESTS = {
+        "ingest/ma_prices.csv":
+            "5d5285f76b3bae15f849e08f5e6e273853d648d7793bc52052dba077cf0997c5",
+        "ingest/panel_summary.csv":
+            "055aae1e656ea0121acb21526fa01479edca096c108ef872f28e184b43a357af",
+        "graph/assoc_rules.csv":
+            "2dfbe061de7dd50cd8d9cfb21da9d5fea2a114f5db9eb54bff0f4deb7731d4f3",
+        "graph/graph_edges.csv":
+            "3345b31b03e8e259696697f46dfde4acaebff40267e0054640ceb2914d043dc2",
+    }
+
+    def test_tables_match_recorded_digests(self, tmp_path):
+        panel = lead_lag_panel(300, seed=7)  # 10 tickers; 329 rules, 20 edges
+        write_panel_csvs(panel, tmp_path / "data")
+        digests = {}
+        for command in ("ingest", "graph"):
+            out = tmp_path / command
+            argv = [command, *base_args(tmp_path / "data", out, ",".join(panel.tickers))]
+            assert main(argv) == 0
+            for path in sorted(out.glob("*.csv")):
+                digests[f"{command}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == self.DIGESTS
 
 
 class TestManifest:

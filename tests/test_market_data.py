@@ -104,6 +104,13 @@ class TestParseOhlcv:
         series = parse_ohlcv_csv(content, "A")
         assert series.dates == [date(2005, 1, 3)]
 
+    def test_quote_left_open_in_a_long_file_is_a_malformed_row(self):
+        # the quoted field runs on past csv's field size limit
+        rows = [f"{date.fromordinal(732000 + k).isoformat()},1,1,1,1,1,10" for k in range(6000)]
+        content = csv_for(['2005-01-03,"1,1,1,1,1,10', *rows])
+        with pytest.raises(MalformedRowError, match=r"^A: field larger than field limit"):
+            parse_ohlcv_csv(content, "A")
+
     @pytest.mark.parametrize("first, second, error, message", [
         ("2005-01-03,abc,1,1,1,1,10", "2005-01-05,1,1,1,1,1,-10",
          MalformedRowError, "A line 3: could not convert"),
@@ -176,7 +183,10 @@ _SPELL = (repr, "{:.6f}".format, lambda v: str(round(v)))
 def ohlcv_files(draw) -> str:
     """A valid OHLCV file in shuffled date order, then up to three faults on
     random rows: a dropped field, "abc", "nan" or "0" in a field, a negative
-    volume, another row's date, a padded field or a blank line."""
+    volume, another row's date, a padded field, a blank or whitespace-only
+    line, or a stray double quote. Then no field, some fields or every field
+    (the header's too) is quoted, so files take both of the parser's
+    tokenizers."""
     n = draw(st.integers(0, 10))
     ordinals = draw(st.lists(st.integers(732000, 732060), min_size=n, max_size=n, unique=True))
     price = st.floats(min_value=0.01, max_value=1e5)
@@ -185,11 +195,12 @@ def ohlcv_files(draw) -> str:
         prices = [draw(st.sampled_from(_SPELL))(draw(price)) for _ in PRICE_FIELDS]
         volume = draw(st.sampled_from(_SPELL))(draw(st.floats(min_value=0, max_value=1e9)))
         rows.append([date.fromordinal(ordinal).isoformat(), *prices, volume])
-    blanks = set()
+    blanks = {}
+    faults = ["drop", "abc", "nan", "0", "volume", "date", "pad", "blank", "space", "stray"]
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         k = draw(st.integers(0, len(rows) - 1))
         field = draw(st.integers(0, len(OHLCV_COLUMNS) - 1))
-        fault = draw(st.sampled_from(["drop", "abc", "nan", "0", "volume", "date", "pad", "blank"]))
+        fault = draw(st.sampled_from(faults))
         if fault == "drop":
             del rows[k][min(field, len(rows[k]) - 1)]
         elif fault in ("abc", "nan", "0"):
@@ -201,13 +212,28 @@ def ohlcv_files(draw) -> str:
         elif fault == "pad":
             i = min(field, len(rows[k]) - 1)
             rows[k][i] = f"  {rows[k][i]} "
+        elif fault == "stray":  # a quote inside a field, or one that opens it
+            i = min(field, len(rows[k]) - 1)
+            at = draw(st.integers(0, len(rows[k][i])))
+            rows[k][i] = rows[k][i][:at] + '"' + rows[k][i][at:]
         else:
-            blanks.add(k)
+            blanks[k] = "" if fault == "blank" else draw(st.sampled_from([" ", "\t", "  \t "]))
+    quoting = draw(st.sampled_from(["none", "some", "all"]))
+    header = list(OHLCV_COLUMNS)
+    for fields in [header, *rows]:
+        for i, value in enumerate(fields):
+            if quoting == "all" or (
+                quoting == "some" and fields is not header and draw(st.booleans())
+            ):
+                fields[i] = '"' + value.replace('"', '""') + '"'
     lines = []
     for k, fields in enumerate(rows):
-        lines += [""] * (k in blanks) + [",".join(fields)]
+        if k in blanks:
+            lines.append(blanks[k])
+        lines.append(",".join(fields))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join([HEADER.strip(), *lines, *[""] * draw(st.integers(0, 2))]) + newline
+    end = draw(st.sampled_from([newline, ""]))  # the last line may have no line end
+    return newline.join([",".join(header), *lines, *[""] * draw(st.integers(0, 2))]) + end
 
 
 def parse_outcome(parse, content):
@@ -226,6 +252,31 @@ class TestParseMatchesRowLoop:
         assert parse_outcome(parse_ohlcv_csv, content) == parse_outcome(
             row_loop_parse_ohlcv_csv, content
         )
+
+
+class TestLineEnds:
+    LF = csv_for(["2005-01-04,1,2,0.5,1.5,1.5,10", "", "2005-01-03,1,2,0.5,1.25,1.25,20"])
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_cr_and_crlf_read_as_lf(self, newline, quoted):
+        # a classic-Mac export ends its lines with CR alone
+        lf = self.LF.replace(",10", ',"10"') if quoted else self.LF
+        twin = lf.replace("\n", newline)
+        assert parse_outcome(parse_ohlcv_csv, twin) == parse_outcome(parse_ohlcv_csv, lf)
+        assert parse_outcome(parse_ohlcv_csv, twin.encode()) == parse_outcome(
+            parse_ohlcv_csv, lf)
+
+    def test_cr_line_numbers_count_blank_lines(self):
+        content = csv_for(["2005-01-04,1,1,1,1,1,10", "", "2005-01-05,1,1,1,1,1"])
+        with pytest.raises(MalformedRowError, match="^A line 4: expected 7 fields, got 6$"):
+            parse_ohlcv_csv(content.replace("\n", "\r"), "A")
+
+    def test_cr_inside_a_line_ends_it(self):
+        # before CR counted as a line end, csv.reader raised its own error here
+        content = csv_for(["2005-01-04,1,1\r,1,1,1,10"])
+        with pytest.raises(MalformedRowError, match="^A line 2: expected 7 fields, got 3$"):
+            parse_ohlcv_csv(content, "A")
 
 
 def series_on(ticker: str, days: list[date], close: float = 10.0):
